@@ -5,7 +5,7 @@ Run with: python3 demos/symbols_tour.py
 """
 from fractions import Fraction
 
-from udisc.brauer import from_pair, l_disc, mul, pair_presentation
+from udisc.brauer import from_pair, l_disc, pair_presentation
 from udisc.quadfield import ImagQuadField, is_norm, norm_class, prime_behavior
 from udisc.symbols import (
     INF,
@@ -44,7 +44,7 @@ print("Quaternion algebras over Q as ramification sets:")
 c = from_pair(-1, -1)
 print("  (-1,-1) ramifies at %s" % render_places(c.ram))
 print("  squared it is trivial: %s" % render_places(c.pow(2).ram))
-d = mul(c, from_pair(2, 3))
+d = c.mul(from_pair(2, 3))
 a, b = pair_presentation(d)
 print("  product with (2,3) is (%s,%s), %s" % (a, b, render_places(d.ram)))
 

@@ -13,15 +13,12 @@ minimal in absolute value and positive on ties.
 from dataclasses import dataclass
 from itertools import combinations
 
-from sympy import primefactors, primerange
-
+from .arith import prime_factors, primes_up_to
 from .quadfield import ImagQuadField, PrimeBehavior, norm_class, prime_behavior
 from .symbols import (
     INF,
-    Place,
     Rational,
     hilbert,
-    place_sort_key,
     relevant_places,
     render_places,
 )
@@ -59,10 +56,6 @@ def from_pair(a: Rational, b: Rational) -> BrauerClassQ:
     return BrauerClassQ(ram)
 
 
-def mul(c1: BrauerClassQ, c2: BrauerClassQ) -> BrauerClassQ:
-    return c1.mul(c2)
-
-
 def splits_in(c: BrauerClassQ, L: ImagQuadField) -> bool:
     """True when L splits c: no finite ramified place of c splits in L.
 
@@ -76,7 +69,7 @@ def splits_in(c: BrauerClassQ, L: ImagQuadField) -> bool:
 def _candidate_reps(c: BrauerClassQ, L: ImagQuadField):
     # any representative's prime support lies in the primes of
     # 2 * field_disc * (finite ramified places of c)
-    primes = {int(p) for p in primefactors(2 * L.field_disc)}
+    primes = set(prime_factors(2 * L.field_disc))
     primes.update(v for v in c.ram if v != INF)
     primes = sorted(primes)
     seen = set()
@@ -120,7 +113,7 @@ def pair_presentation(c: BrauerClassQ) -> tuple | None:
     failing rounds retry with one auxiliary small prime added.
     """
     base = [2] + sorted(v for v in c.ram if v != INF and v != 2)
-    aux_choices = [None] + [q for q in primerange(3, 100) if q not in base]
+    aux_choices = [None] + [q for q in primes_up_to(99) if q not in base]
     for aux in aux_choices:
         primes = sorted(base + [aux]) if aux else base
         pool = set()
@@ -142,7 +135,3 @@ def pair_presentation(c: BrauerClassQ) -> tuple | None:
             if from_pair(a, b) == c:
                 return (a, b)
     return None
-
-
-def sorted_places(c: BrauerClassQ) -> list:
-    return sorted(c.ram, key=place_sort_key)

@@ -26,8 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from sympy import isprime
-
+from .arith import is_prime
 from .brauer import BrauerClassQ, from_pair, pair_presentation
 from .deduce import (
     AlphaFacts,
@@ -45,15 +44,7 @@ from .deduce import (
     Unique,
     resolve,
 )
-from .hermforms import (
-    HermitianGram,
-    clifford_invariant,
-    delta,
-    disc,
-    is_positive_definite,
-    quad_invariants,
-    transfer_quadratic,
-)
+from .hermforms import FormInvariants, HermitianGram, form_invariants
 from .quadfield import ImagQuadField, QuadElem, is_norm
 from .symbols import INF, hilbert, place_sort_key, relevant_places, render_places
 
@@ -143,7 +134,7 @@ def _as_places(v, path):
     for i, x in enumerate(v):
         if x == "inf":
             out.add(INF)
-        elif _is_int(x) and isprime(x):
+        elif _is_int(x) and is_prime(x):
             out.add(int(x))
         else:
             _fail("%s[%d]" % (path, i), 'expected "inf" or a prime')
@@ -178,7 +169,7 @@ def _wrap(path, fn, *args, **kwargs):
 def _load_mod_fact(v, path):
     _as_obj(v, path, {"p", "status", "defect_one", "external"})
     p = _as_int(v.get("p"), path + ".p")
-    if not isprime(p):
+    if not is_prime(p):
         _fail(path + ".p", "not a prime")
     s = _as_str(v.get("status"), path + ".status")
     try:
@@ -200,7 +191,7 @@ def _load_structural(v, path):
         _fail(path + ".orth_dim_sum_mod4", "expected an object")
     for k, d in raw.items():
         kp = "%s.orth_dim_sum_mod4.%s" % (path, k)
-        if not k.isdigit() or not isprime(int(k)):
+        if not k.isdigit() or not is_prime(int(k)):
             _fail(kp, "expected a prime key")
         dims[int(k)] = _as_int(d, kp)
     return _wrap(
@@ -315,7 +306,7 @@ def _load_sheet(v, relations_raw, fid, path):
               "expected an object of prime: exponent entries")
     for k, e in raw.items():
         kp = "%s.group_order_factors.%s" % (path, k)
-        if not k.isdigit() or not isprime(int(k)):
+        if not k.isdigit() or not is_prime(int(k)):
             _fail(kp, "expected a prime key")
         factors[int(k)] = _as_pos_int(e, kp)
     mod_facts = tuple(
@@ -462,9 +453,8 @@ def deduce_report(path) -> Report:
     return report_from_deduction(resolve(ff.sheet))
 
 
-def _transfer_summary(h: HermitianGram) -> dict:
-    q = transfer_quadratic(h)
-    inv = quad_invariants(q)
+def _transfer_summary(f: FormInvariants) -> dict:
+    inv = f.transfer
     hasse = {str(v): inv.hasse[v]
              for v in sorted(inv.hasse, key=place_sort_key)}
     return {
@@ -472,8 +462,8 @@ def _transfer_summary(h: HermitianGram) -> dict:
         "disc": inv.disc,
         "signature": [inv.signature[0], inv.signature[1]],
         "hasse": hasse,
-        "definite": is_positive_definite(h),
-        "clifford_ok": clifford_invariant(q) == delta(h),
+        "definite": f.definite,
+        "clifford_ok": f.clifford == f.delta,
     }
 
 
@@ -481,9 +471,9 @@ def hform_report(path) -> Report:
     ff = load_fact_file(path)
     if ff.gram is None:
         raise FactFileError("gram: missing (this file has no Gram block)")
-    h = ff.gram
-    return Report(id=ff.id, kind="unique", disc=disc(h),
-                  ram=_sorted_ram(delta(h)), transfer=_transfer_summary(h))
+    f = form_invariants(ff.gram)
+    return Report(id=ff.id, kind="unique", disc=f.disc,
+                  ram=_sorted_ram(f.delta), transfer=_transfer_summary(f))
 
 
 def render_report_text(r: Report) -> str:
@@ -501,10 +491,10 @@ def render_report_text(r: Report) -> str:
         lines.append("hasse " + " ".join("%s:%d" % (v, s)
                                          for v, s in t["hasse"].items()))
     elif r.kind == "unique":
-        a, b = pair_presentation(BrauerClassQ(frozenset(r.ram)))
+        pair = pair_presentation(BrauerClassQ(frozenset(r.ram)))
         disc_s = "n/a" if r.disc is None else str(r.disc)
-        lines.append("disc = %s, Delta = (%s,%s)_Q, %s"
-                     % (disc_s, a, b, render_places(r.ram)))
+        pair_s = "" if pair is None else "Delta = (%s,%s)_Q, " % pair
+        lines.append("disc = %s, %s%s" % (disc_s, pair_s, render_places(r.ram)))
     elif r.kind == "candidates":
         discs = [it["disc"] for it in r.items]
         if all(d is not None for d in discs):
@@ -571,7 +561,7 @@ def _parse_place(s: str):
         p = int(s)
     except ValueError:
         p = -1
-    if p < 2 or not isprime(p):
+    if p < 2 or not is_prime(p):
         raise ValueError('place must be "inf" or a prime')
     return p
 
@@ -625,10 +615,9 @@ def _check_corpus_row(ff: FactFile):
     if ff.gram is not None:
         if exp["kind"] != "hform":
             return False, "expected kind %r does not fit a gram row" % exp["kind"]
-        got_disc = disc(ff.gram)
-        got_ram = _sorted_ram(delta(ff.gram))
-        q = transfer_quadratic(ff.gram)
-        if clifford_invariant(q) != delta(ff.gram):
+        f = form_invariants(ff.gram)
+        got_disc, got_ram = f.disc, _sorted_ram(f.delta)
+        if f.clifford != f.delta:
             return False, "clifford invariant mismatch"
         if got_disc == exp["disc"] and got_ram == exp["ram"]:
             return True, "disc %d %s" % (got_disc, render_places(got_ram))
@@ -684,7 +673,9 @@ def cmd_corpus(args) -> int:
             continue
         try:
             ok, detail = _check_corpus_row(ff)
-        except Exception as e:
+        # ValueError: FactFileError, DeduceError, or a field that does not
+        # split the class; RuntimeError: l_disc found no representative
+        except (ValueError, RuntimeError) as e:
             ok, detail = False, "error: %s" % e
         if not ok:
             failures += 1

@@ -22,9 +22,8 @@ from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from typing import NamedTuple, Optional, Union
 
-from sympy import isprime
-
-from .brauer import BrauerClassQ, from_pair, l_disc, mul
+from .arith import is_prime
+from .brauer import BrauerClassQ, from_pair, l_disc
 from .quadfield import ImagQuadField, PrimeBehavior, prime_behavior
 from .symbols import INF, Place, Rational, legendre, place_sort_key
 
@@ -68,7 +67,7 @@ class ModFact:
     external: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or not isprime(self.p):
+        if not isinstance(self.p, int) or not is_prime(self.p):
             raise ValueError(f"mod fact needs a prime, got {self.p!r}")
         if not isinstance(self.status, FactStatus):
             raise ValueError(f"not a fact status: {self.status!r}")
@@ -141,7 +140,7 @@ class Structural:
     def __post_init__(self):
         sums = {}
         for p, d in dict(self.orth_dim_sum_mod4).items():
-            if not isinstance(p, int) or not isprime(p):
+            if not isinstance(p, int) or not is_prime(p):
                 raise ValueError(f"orthogonal dimension sums need prime keys, got {p!r}")
             if d % 2:
                 raise ValueError(f"orthogonal dimension sums must be even, got {d} at {p}")
@@ -191,7 +190,7 @@ class CharacterFactSheet:
             raise ValueError(f"degree must be an even positive integer, got {self.degree!r}")
         factors = {}
         for p, e in dict(self.group_order_factors).items():
-            if not isinstance(p, int) or not isprime(p) or e <= 0:
+            if not isinstance(p, int) or not is_prime(p) or e <= 0:
                 raise ValueError(f"bad group order factor {p!r}^{e!r}")
             factors[p] = e
         object.__setattr__(self, "group_order_factors", factors)
@@ -511,8 +510,8 @@ def combine_restriction(L: ImagQuadField, constituents) -> BrauerClassQ:
             if c.indicator == "+":
                 if c.ortho_disc is None:
                     raise DeduceError("orthogonal constituent needs its discriminant")
-                part = mul(part, from_pair(L.field_disc, c.ortho_disc))
-        total = mul(total, part)
+                part = part.mul(from_pair(L.field_disc, c.ortho_disc))
+        total = total.mul(part)
     return total
 
 

@@ -10,24 +10,24 @@ is the quaternion class (field_disc, disc)_Q. Transfer to a 2n-dimensional
 rational quadratic form preserves that class as the Clifford invariant.
 """
 
+import dataclasses
 import enum
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
-
-from sympy import primefactors
 
 from .brauer import BrauerClassQ, from_pair, l_disc
 from .quadfield import ImagQuadField, PrimeBehavior, QuadElem, prime_behavior
 from .symbols import (
-    INF,
-    Place,
-    Rational,
     _as_fraction,
     _unit_mod,
     _val_unit,
     hilbert,
     legendre,
+    relevant_places,
     squarefree_part,
 )
 
@@ -43,6 +43,8 @@ class HermitianGram:
 
     field: ImagQuadField
     entries: tuple
+    # computed once by the nondegeneracy check below
+    det: QuadElem = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.entries)
@@ -61,8 +63,10 @@ class HermitianGram:
                         "not Hermitian: entry (%d,%d) is not the conjugate "
                         "of entry (%d,%d)" % (j, i, i, j)
                     )
-        if _determinant(self.entries, self.field).is_zero():
+        det = _determinant(self.entries, self.field)
+        if det.is_zero():
             raise ValueError("degenerate Hermitian Gram matrix")
+        object.__setattr__(self, "det", det)
 
     @property
     def n(self) -> int:
@@ -172,10 +176,13 @@ def diagonalize(h: HermitianGram) -> list:
     return diag
 
 
+def _disc_sign(n: int) -> int:
+    # (-1)^(n(n-1)/2)
+    return -1 if (n * (n - 1) // 2) % 2 else 1
+
+
 def signed_det(h: HermitianGram) -> Fraction:
-    det = _determinant(h.entries, h.field)
-    sign = -1 if (h.n * (h.n - 1) // 2) % 2 else 1
-    return sign * det.x
+    return _disc_sign(h.n) * h.det.x
 
 
 def delta(h: HermitianGram) -> BrauerClassQ:
@@ -221,52 +228,38 @@ class QuadInvariants(NamedTuple):
     signature: tuple
 
 
-def _relevant_places_of(coeffs) -> list:
-    prod = 1
-    for c in coeffs:
-        prod *= c.numerator * c.denominator
-    return [INF] + sorted(int(p) for p in primefactors(2 * abs(prod)))
-
-
 def quad_invariants(q: DiagQuadFormQ) -> QuadInvariants:
     """Dimension, signed squarefree disc, Hasse symbols, and signature."""
     cs = q.coefficients
     m = len(cs)
-    prod = Fraction(1)
-    for c in cs:
-        prod *= c
-    sign = -1 if (m * (m - 1) // 2) % 2 else 1
-    disc_val = squarefree_part(sign * prod)
-    hasse = {}
-    for v in _relevant_places_of(cs):
-        s = 1
-        for i in range(m):
-            for j in range(i + 1, m):
-                s *= hilbert(cs[i], cs[j], v)
-        hasse[v] = s
+    # by bilinearity, the product over i < j of (c_i, c_j)_v is the
+    # product over j of (c_1...c_{j-1}, c_j)_v
+    heads = list(accumulate(cs, operator.mul))
+    hasse = {
+        v: math.prod(hilbert(a, c, v) for a, c in zip(heads, cs[1:]))
+        for v in relevant_places(*cs)
+    }
     pos = sum(1 for c in cs if c > 0)
+    disc_val = squarefree_part(_disc_sign(m), *cs)
     return QuadInvariants(m, disc_val, hasse, (pos, m - pos))
 
 
-def clifford_invariant(q: DiagQuadFormQ) -> BrauerClassQ:
+def clifford_invariant(
+    q: DiagQuadFormQ, inv: QuadInvariants | None = None
+) -> BrauerClassQ:
     """Clifford (Witt) invariant of q as a Brauer class.
 
     Convention: with s the product of the symbol classes (c_i, c_j) over
     i < j and d the signed disc, the full Clifford algebra class is s for
     dim 1,2 mod 8, s*(-1,-d) for 3,4, s*(-1,-1) for 5,6, s*(-1,d) for 7,0.
+    s ramifies where the Hasse symbol is -1; pass the invariants of q when
+    they are at hand.
     """
-    cs = q.coefficients
-    m = len(cs)
-    s = BrauerClassQ(frozenset())
-    for i in range(m):
-        for j in range(i + 1, m):
-            s = s.mul(from_pair(cs[i], cs[j]))
-    prod = Fraction(1)
-    for c in cs:
-        prod *= c
-    sign = -1 if (m * (m - 1) // 2) % 2 else 1
-    d = squarefree_part(sign * prod)
-    r = m % 8
+    if inv is None:
+        inv = quad_invariants(q)
+    s = BrauerClassQ(frozenset(v for v, e in inv.hasse.items() if e == -1))
+    d = inv.disc
+    r = inv.dim % 8
     if r in (1, 2):
         return s
     if r in (3, 4):
@@ -274,6 +267,31 @@ def clifford_invariant(q: DiagQuadFormQ) -> BrauerClassQ:
     if r in (5, 6):
         return s.mul(from_pair(-1, -1))
     return s.mul(from_pair(-1, d))
+
+
+class FormInvariants(NamedTuple):
+    """What `udisc hform` reports about one form, each part computed once."""
+
+    delta: BrauerClassQ
+    disc: int
+    definite: bool
+    transfer: QuadInvariants
+    clifford: BrauerClassQ
+
+
+def form_invariants(h: HermitianGram) -> FormInvariants:
+    """Delta and disc from det(h), the transfer's invariants from one
+    diagonalization. clifford == delta is the transfer identity, a check
+    of the one computation against the other."""
+    dlt = delta(h)
+    q = transfer_quadratic(h)
+    inv = quad_invariants(q)
+    # h is positive definite iff its transfer is: q has coefficients a_i and
+    # delta0 a_i for a diagonalization (a_i) of h
+    definite = inv.signature[1] == 0
+    return FormInvariants(
+        dlt, l_disc(dlt, h.field), definite, inv, clifford_invariant(q, inv)
+    )
 
 
 def squarefree_reduce_at(diag, L: ImagQuadField, p: int):
@@ -308,8 +326,7 @@ def unimodular_reduce_at(diag, L: ImagQuadField, p: int) -> SquareTest:
         raise ValueError("dyadic place excluded")
     if prime_behavior(L, p) != PrimeBehavior.RAMIFIED:
         raise ValueError(f"{p} is not ramified in Q(sqrt(-{L.delta0}))")
-    n = len(diag)
-    t = Fraction(-1 if (n * (n - 1) // 2) % 2 else 1)
+    t = Fraction(_disc_sign(len(diag)))
     for a in diag:
         a = _as_fraction(a)
         nu, _ = _val_unit(a, p)

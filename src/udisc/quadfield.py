@@ -10,10 +10,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from sympy import factorint, isprime
-
+from .arith import factor, is_prime
 from .symbols import (
-    INF,
     Place,
     Rational,
     _as_fraction,
@@ -21,6 +19,7 @@ from .symbols import (
     hilbert,
     kronecker,
     legendre,
+    relevant_places,
 )
 
 
@@ -40,7 +39,7 @@ class ImagQuadField:
         d = self.delta0
         if not isinstance(d, int) or d <= 0:
             raise ValueError(f"delta0 must be a positive integer, got {d!r}")
-        if any(e > 1 for e in factorint(d).values()):
+        if any(e > 1 for _, e in factor(d)):
             raise ValueError(f"delta0 must be squarefree, got {d}")
 
     @property
@@ -125,7 +124,7 @@ class QuadElem:
 
 def prime_behavior(L: ImagQuadField, p: int) -> PrimeBehavior:
     """How the rational prime p decomposes in L."""
-    if not isprime(p):
+    if not is_prime(p):
         raise ValueError(f"not a prime: {p}")
     d = L.field_disc
     if d % p == 0:
@@ -145,16 +144,7 @@ def norm_class(a: Rational, L: ImagQuadField) -> frozenset[Place]:
     if a == 0:
         raise ValueError("norm class of 0 is undefined")
     d = L.field_disc
-    primes = {int(p) for p in factorint(abs(a.numerator * a.denominator))}
-    primes |= {int(p) for p in factorint(abs(d))}
-    primes.add(2)
-    out = set()
-    if hilbert(a, d, INF) == -1:
-        out.add(INF)
-    for p in primes:
-        if hilbert(a, d, p) == -1:
-            out.add(p)
-    return frozenset(out)
+    return frozenset(v for v in relevant_places(a, d) if hilbert(a, d, v) == -1)
 
 
 def is_norm(a: Rational, L: ImagQuadField) -> bool:
@@ -178,9 +168,7 @@ def is_norm_by_criteria(a: Rational, L: ImagQuadField) -> bool:
     if a < 0:
         return False
     d = L.field_disc
-    primes = {int(p) for p in factorint(abs(a.numerator * a.denominator))}
-    primes |= {int(p) for p in factorint(abs(d))}
-    for p in primes:
+    for p in relevant_places(a, d)[1:]:  # the finite places
         behavior = prime_behavior(L, p)
         if behavior == PrimeBehavior.SPLIT:
             continue

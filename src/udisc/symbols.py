@@ -2,14 +2,15 @@
 
 Everything downstream (norm classes, Brauer classes, discriminants)
 reduces to the local symbols computed here.  All arithmetic is exact:
-rationals are ``fractions.Fraction``, factoring is sympy's.
+rationals are ``fractions.Fraction``, integers are factored by
+``udisc.arith``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from sympy import factorint, isprime
+from .arith import factor, is_prime, prime_factors
 
 # The infinite place of Q.  Finite places are the primes themselves.
 INF = "inf"
@@ -24,25 +25,30 @@ def _as_fraction(q: Rational) -> Fraction:
     return q if isinstance(q, Fraction) else Fraction(q)
 
 
-def squarefree_part(q: Rational) -> SquareClassQ:
-    """Signed squarefree integer representing the square class of q.
+def squarefree_part(*qs: Rational) -> SquareClassQ:
+    """Signed squarefree integer representing the square class of prod(qs).
 
-    q / squarefree_part(q) is always the square of a rational.
+    prod(qs) / squarefree_part(*qs) is always the square of a rational.
+    Each numerator and denominator is factored on its own, never the product.
     """
-    q = _as_fraction(q)
-    if q == 0:
-        raise ValueError("square class of 0 is undefined")
-    n = q.numerator * q.denominator  # same class, integral
-    t = 1 if n > 0 else -1
-    for p, e in factorint(abs(n)).items():
-        if e % 2:
-            t *= int(p)
+    t = 1
+    odd = set()
+    for q in qs:
+        q = _as_fraction(q)
+        if q == 0:
+            raise ValueError("square class of 0 is undefined")
+        if q < 0:
+            t = -t
+        for n in (q.numerator, q.denominator):
+            odd.symmetric_difference_update(p for p, e in factor(n) if e % 2)
+    for p in odd:
+        t *= p
     return t
 
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) for an odd prime p: 0, +1 or -1."""
-    if p <= 2 or not isprime(p):
+    if p <= 2 or not is_prime(p):
         raise ValueError(f"legendre needs an odd prime, got {p}")
     a %= p
     if a == 0:
@@ -63,8 +69,7 @@ def kronecker(a: int, n: int) -> int:
     if n < 0:
         result = -1 if a < 0 else 1
         n = -n
-    for p, e in factorint(n).items():
-        p = int(p)
+    for p, e in factor(n):
         if p == 2:
             if a % 2 == 0:
                 return 0
@@ -113,7 +118,7 @@ def hilbert(a: Rational, b: Rational, v: Place) -> int:
     if v == INF:
         return -1 if a < 0 and b < 0 else 1
     p = v
-    if not isinstance(p, int) or not isprime(p):
+    if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"not a place of Q: {v!r}")
     alpha, u = _val_unit(a, p)
     beta, w = _val_unit(b, p)
@@ -130,15 +135,16 @@ def hilbert(a: Rational, b: Rational, v: Place) -> int:
     return s
 
 
-def relevant_places(a: Rational, b: Rational) -> list[Place]:
-    """INF plus the primes dividing 2ab (numerators and denominators).
+def relevant_places(*qs: Rational) -> list[Place]:
+    """INF plus 2 and the primes dividing a numerator or denominator of qs.
 
-    Away from these, (a,b)_v is automatically +1.
+    Away from these, (a,b)_v is +1 for any a, b among the qs.  Each
+    numerator and denominator is factored on its own, never the product.
     """
-    a, b = _as_fraction(a), _as_fraction(b)
     primes = {2}
-    for q in (a, b):
-        primes |= {int(p) for p in factorint(abs(q.numerator * q.denominator))}
+    for q in qs:
+        q = _as_fraction(q)
+        primes.update(prime_factors(q.numerator), prime_factors(q.denominator))
     return [INF] + sorted(primes)
 
 

@@ -225,6 +225,19 @@ class TestHformCommand:
         assert rc == 0
         assert out.splitlines()[0] == "disc=-2 ram{inf,5} clifford=OK"
 
+    def test_each_stage_runs_once_per_form(self, monkeypatch):
+        import udisc.hermforms as hf
+
+        calls = []
+        for name in ("_determinant", "diagonalize", "delta"):
+            def counted(*args, _real=getattr(hf, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(hf, name, counted)
+        hform_report(corpus_path("q10_unimod4"))
+        assert sorted(calls) == ["_determinant", "delta", "diagonalize"]
+
     def test_nondiagonal_entries(self, capsys, tmp_path):
         # det = 2*6 - N(1 + sqrt(-10)) = 12 - 11 = 1, positive definite
         payload = {
@@ -342,6 +355,13 @@ class TestDeduceCommand:
         rc, out, _ = run(capsys, "deduce", corpus_path("s63_chi2"))
         assert rc == 0
         assert out.splitlines()[0] == "disc = -2, Delta = (-1,-1)_Q, ram{inf,2}"
+
+    def test_no_pair_presentation_still_renders(self, capsys, monkeypatch):
+        monkeypatch.setattr("udisc.cli.pair_presentation", lambda c: None)
+        rc, out, err = run(capsys, "deduce", corpus_path("o10p2_chi33"))
+        assert rc == 0
+        assert out.splitlines()[0] == "disc = -1, ram{inf,3}"
+        assert "Traceback" not in out + err
 
     def test_restriction_row(self, capsys):
         rc, out, _ = run(capsys, "deduce", corpus_path("u37_chi27"))
@@ -548,6 +568,14 @@ class TestCorpusCommand:
         rc, out, _ = run(capsys, "corpus", str(tmp_path))
         assert rc == 3
         assert "parity" in out
+
+    def test_programming_error_propagates(self, capsys, monkeypatch):
+        def broken(ff):
+            raise TypeError("bug in the checker")
+
+        monkeypatch.setattr("udisc.cli._check_corpus_row", broken)
+        with pytest.raises(TypeError, match="bug in the checker"):
+            main(["corpus"])
 
     def test_row_without_expected_fails(self, capsys, tmp_path):
         write_json(tmp_path, "bare.json", SHEET_CHI33)
