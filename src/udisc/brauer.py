@@ -11,6 +11,7 @@ minimal in absolute value and positive on ties.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .arith import prime_factors, primes_up_to
@@ -66,22 +67,67 @@ def splits_in(c: BrauerClassQ, L: ImagQuadField) -> bool:
     )
 
 
-def _candidate_reps(c: BrauerClassQ, L: ImagQuadField):
-    # any representative's prime support lies in the primes of
-    # 2 * field_disc * (finite ramified places of c)
-    primes = set(prime_factors(2 * L.field_disc))
-    primes.update(v for v in c.ram if v != INF)
-    primes = sorted(primes)
-    seen = set()
-    for r in range(len(primes) + 1):
-        for combo in combinations(primes, r):
-            t = 1
-            for p in combo:
-                t *= p
-            for cand in (t, -t):
-                if cand not in seen:
-                    seen.add(cand)
-                    yield cand
+@lru_cache(maxsize=4096)
+def _column(b: int, L: ImagQuadField) -> frozenset:
+    # the norm class of one basis element: -1 or a prime
+    return norm_class(b, L)
+
+
+@lru_cache(maxsize=256)
+def _split_products(L: ImagQuadField) -> dict:
+    """Smallest product of distinct odd split primes in each norm class.
+
+    A split prime's class lies on the primes dividing field_disc and has
+    even size there; by genus theory every such set is the class of some
+    split prime, so the 2^(r-1) classes (r primes dividing field_disc) are
+    all reached. Primes are taken in ascending order, so the search stops
+    at the first split prime above every entry's product.
+    """
+    want = 1 << (len(prime_factors(L.field_disc)) - 1)
+    best = {frozenset(): 1}
+    lo, hi = 2, 64
+    while True:
+        for p in primes_up_to(hi):
+            if p <= lo or prime_behavior(L, p) != PrimeBehavior.SPLIT:
+                continue
+            if len(best) == want and p > max(best.values()):
+                return best
+            col = _column(p, L)
+            for w, m in list(best.items()):
+                if w ^ col not in best or m * p < best[w ^ col]:
+                    best[w ^ col] = m * p
+        lo, hi = hi, 2 * hi
+
+
+def _echelon(columns: list) -> tuple[list, list]:
+    """Reduce bitmask columns over F2.
+
+    Returns the pivots as (pivot bit, reduced column, combination) and the
+    kernel as combinations, where a combination is a bitmask over the
+    column indices.
+    """
+    pivots, kernel = [], []
+    for j, col in enumerate(columns):
+        comb = 1 << j
+        for bit, vec, c in pivots:
+            if col & bit:
+                col ^= vec
+                comb ^= c
+        if col:
+            pivots.append((col & -col, col, comb))
+        else:
+            kernel.append(comb)
+    return pivots, kernel
+
+
+def _solve(pivots: list, target: int) -> int | None:
+    # one combination of the columns summing to target, or None
+    x = 0
+    for bit, vec, c in pivots:
+        if target & bit:
+            target ^= vec
+            x ^= c
+    return None if target else x
 
 
 def l_disc(c: BrauerClassQ, L: ImagQuadField) -> int:
@@ -89,12 +135,44 @@ def l_disc(c: BrauerClassQ, L: ImagQuadField) -> int:
 
     Minimal |t| wins; positive wins a sign tie. Raises when L does not
     split c (no such t exists then).
+
+    The norm class is a homomorphism on square classes, so t is linear
+    algebra over F2. Write t = s * m. The part s is a signed product over
+    S = primes(2 * field_disc) together with the finite ramified places of
+    c. The part m is a product of split primes outside S. A split prime
+    moves the class only on the primes dividing field_disc. So for each
+    class w of the cached table of smallest split products m, solve
+    class(s) = c + w over the basis {-1} u S, and take the smallest s in
+    the coset of the kernel.
     """
     if not splits_in(c, L):
         raise ValueError("L is not a splitting field")
+    primes = set(prime_factors(2 * L.field_disc))
+    primes.update(v for v in c.ram if v != INF)
+    basis = [-1] + sorted(primes)
+    bits = {}
+
+    def mask(places):
+        m = 0
+        for v in places:
+            m |= 1 << bits.setdefault(v, len(bits))
+        return m
+
+    pivots, kernel = _echelon([mask(_column(b, L)) for b in basis])
     best = None
-    for t in _candidate_reps(c, L):
-        if norm_class(t, L) == c.ram:
+    for w, m in _split_products(L).items():
+        x = _solve(pivots, mask(c.ram ^ w))
+        if x is None:
+            continue
+        for k in range(1 << len(kernel)):
+            y = x
+            for i, comb in enumerate(kernel):
+                if k >> i & 1:
+                    y ^= comb
+            t = m
+            for j, b in enumerate(basis):
+                if y >> j & 1:
+                    t *= b
             if best is None or (abs(t), t < 0) < (abs(best), best < 0):
                 best = t
     if best is None:

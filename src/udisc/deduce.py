@@ -452,6 +452,13 @@ def resolve(sheet: CharacterFactSheet) -> DeductionReport:
             asg.assign(v, status, "parity closure", _CIT_PARITY)
 
     statuses = asg.statuses
+    split = {v for v in statuses if v != INF and prime_behavior(L, v) == PrimeBehavior.SPLIT}
+    for v in sorted(split):
+        if statuses[v] is PlaceStatus.RAMIFIED:
+            raise DeduceError(
+                f"rule '{asg.rule_by_place[v]}' ramifies {v}, which splits in {L};"
+                " no class ramified there has L as a splitting field"
+            )
     unknowns = sorted(
         (v for v, s in statuses.items() if s is PlaceStatus.UNKNOWN), key=place_sort_key
     )
@@ -463,18 +470,23 @@ def resolve(sheet: CharacterFactSheet) -> DeductionReport:
     elif len(unknowns) > _MAX_FREE_PLACES:
         result = UnderDetermined(tuple(unknowns))
     else:
+        # a split place never ramifies in a class that L splits
         base = {v for v, s in statuses.items() if s is PlaceStatus.RAMIFIED}
+        free = [v for v in unknowns if v not in split]
         items = []
-        for mask in range(1 << len(unknowns)):
-            ram = base | {unknowns[i] for i in range(len(unknowns)) if mask >> i & 1}
+        for mask in range(1 << len(free)):
+            ram = base | {free[i] for i in range(len(free)) if mask >> i & 1}
             if len(ram) % 2:
-                continue
-            if any(
-                v != INF and prime_behavior(L, v) == PrimeBehavior.SPLIT for v in ram
-            ):
                 continue
             cls = BrauerClassQ(frozenset(ram))
             items.append((cls, l_disc(cls, L)))
+        if not items:
+            names = ", ".join(str(v) for v in unknowns)
+            raise DeduceError(
+                f"parity needs one more ramified place, but every free place"
+                f" ({names}) splits in {L}; no class ramified there has L as a"
+                " splitting field"
+            )
         items.sort(key=lambda item: (abs(item[1]), item[1] < 0))
         if not sheet.quasi_split:
             items = [(cls, None) for cls, _ in items]

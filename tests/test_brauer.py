@@ -5,12 +5,16 @@ against the op's own defining property: the returned t has the right
 norm class, and no integer of smaller absolute value does.
 """
 
+from functools import lru_cache
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from udisc.arith import prime_factors, primes_up_to
 from udisc.brauer import BrauerClassQ, from_pair, l_disc, pair_presentation, splits_in
-from udisc.quadfield import ImagQuadField, norm_class
+from udisc.quadfield import ImagQuadField, PrimeBehavior, norm_class, prime_behavior
 from udisc.symbols import INF
 
 Q1 = ImagQuadField(1)
@@ -20,6 +24,7 @@ Q7 = ImagQuadField(7)
 Q10 = ImagQuadField(10)
 Q15 = ImagQuadField(15)
 Q19 = ImagQuadField(19)
+SPLIT = PrimeBehavior.SPLIT
 
 nonzero = st.fractions(min_value=-200, max_value=200, max_denominator=20).filter(
     lambda q: q != 0
@@ -34,6 +39,43 @@ def brute_minimality_check(t, cls, L, bound=None):
             if norm_class(cand, L) == cls.ram:
                 return False
     return True
+
+
+@lru_cache(maxsize=None)
+def cached_norm_class(t, L):
+    return norm_class(t, L)
+
+
+def s_span_l_disc(c, L):
+    """The exhaustive l_disc this package used before its linear solve.
+
+    It tries every signed product over S = primes(2 * field_disc) together
+    with the finite ramified places of c, so it misses a representative
+    that needs a split prime outside S. None when nothing in the span fits.
+    """
+    primes = set(prime_factors(2 * L.field_disc))
+    primes.update(v for v in c.ram if v != INF)
+    primes = sorted(primes)
+    best = None
+    for r in range(len(primes) + 1):
+        for combo in combinations(primes, r):
+            t = 1
+            for p in combo:
+                t *= p
+            for cand in (t, -t):
+                if cached_norm_class(cand, L) == c.ram:
+                    if best is None or (abs(cand), cand < 0) < (abs(best), best < 0):
+                        best = cand
+    return best
+
+
+def smallest_by_scan(L, bound):
+    """{norm class: smallest t by (|t|, t < 0)} over 0 < |t| <= bound."""
+    first = {}
+    for a in range(1, bound + 1):
+        for t in (a, -a):
+            first.setdefault(norm_class(t, L), t)
+    return first
 
 
 class TestConstruction:
@@ -114,6 +156,26 @@ class TestLDisc:
         assert l_disc(BrauerClassQ(frozenset([INF, 5])), Q10) == -2
         assert l_disc(BrauerClassQ(frozenset([INF, 2])), Q10) == -1
 
+    @pytest.mark.parametrize(
+        "d0,ram,span,rep",
+        [
+            (14, {2, 7}, None, 3),
+            (17, {2, 17}, None, 3),
+            (21, {3, 7}, 6, 5),
+            (35, {5, 7}, 5, 3),
+            (105, {2, 3}, 14, 11),
+        ],
+        ids=["q14", "q17", "q21", "q35", "q105"],
+    )
+    def test_needs_a_split_prime(self, d0, ram, span, rep):
+        # the smallest representative is a split prime outside
+        # {-1, 2} u primes(d_L) u ram; the span has nothing or a larger one
+        L = ImagQuadField(d0)
+        c = BrauerClassQ(frozenset(ram))
+        assert from_pair(L.field_disc, rep) == c
+        assert s_span_l_disc(c, L) == span
+        assert l_disc(c, L) == rep
+
     def test_not_split_is_error(self):
         c = BrauerClassQ(frozenset([7, 19]))  # both split in Q(sqrt(-3))
         with pytest.raises(ValueError, match="not a splitting field"):
@@ -133,6 +195,25 @@ class TestLDisc:
         assert brute_minimality_check(rep, c, L)
         if norm_class(-abs(rep), L) == c.ram and norm_class(abs(rep), L) == c.ram:
             assert rep > 0  # ties broken toward positive
+
+
+class TestLDiscReference:
+    @pytest.mark.parametrize("d0", [1, 2, 3, 7, 10, 15, 43])
+    def test_matches_s_span_enumerator(self, d0):
+        # every class split by L with at most 6 places among inf and the
+        # primes below 60; no split prime helps on these fields
+        L = ImagQuadField(d0)
+        places = [INF] + [p for p in primes_up_to(59) if prime_behavior(L, p) != SPLIT]
+        for r in (0, 2, 4, 6):
+            for ram in combinations(places, r):
+                c = BrauerClassQ(frozenset(ram))
+                assert l_disc(c, L) == s_span_l_disc(c, L), c.render()
+
+    @pytest.mark.parametrize("d0", [1, 5, 14, 17, 21, 35, 105, 210])
+    def test_matches_integer_scan(self, d0):
+        L = ImagQuadField(d0)
+        for cls, t in smallest_by_scan(L, 400).items():
+            assert l_disc(BrauerClassQ(cls), L) == t, cls
 
 
 class TestRendering:

@@ -205,6 +205,22 @@ class TestIsnormCommand:
         assert json.loads(out) == {"a": "7", "delta0": 3, "is_norm": True}
 
 
+# parity must ramify one of 7 and 13, which both split in Q(sqrt-3)
+SHEET_SPLIT_ONLY = {
+    "id": "split_only",
+    "character": {
+        "degree": 2,
+        "delta0": 3,
+        "split_schur_trivial": False,
+        "group_order_factors": {"2": 1, "3": 1, "7": 1, "13": 1},
+        "mod_facts": [
+            {"p": 2, "status": "Irreducible"},
+            {"p": 3, "status": "OrthSquare"},
+        ],
+    },
+}
+
+
 class TestHformCommand:
     def test_identity_rank_two(self, capsys, tmp_path):
         path = write_json(tmp_path, "i2.json", GRAM_I2)
@@ -214,6 +230,17 @@ class TestHformCommand:
         assert lines[0] == "disc=-1 ram{inf,2} clifford=OK"
         assert "transfer dim=4 disc=1 signature=(4,0) definite=true" in lines
         assert "hasse inf:1 2:1 5:1" in lines
+
+    def test_class_represented_by_a_split_prime(self, capsys, tmp_path):
+        # (3) over Q(sqrt-14): the class ram{2,7} of (-56, 3)_Q has no
+        # representative over -1, 2 and 7; the split prime 3 is one
+        path = write_json(tmp_path, "three.json", {
+            "id": "three",
+            "gram": {"delta0": 14, "entries": [[[3, 1, 0, 1]]]},
+        })
+        rc, out, _ = run(capsys, "hform", path)
+        assert rc == 0
+        assert out.splitlines()[0] == "disc=3 ram{2,7} clifford=OK"
 
     def test_identity_rank_four(self, capsys):
         rc, out, _ = run(capsys, "hform", corpus_path("q10_i4"))
@@ -405,6 +432,23 @@ class TestDeduceCommand:
         rc, _, err = run(capsys, "deduce", path)
         assert rc == 1
         assert "parity" in err
+
+    def test_split_place_is_an_error(self, capsys, tmp_path):
+        payload = json.loads(json.dumps(SHEET_SPLIT_ONLY))
+        payload["character"]["group_order_factors"].pop("13")
+        path = write_json(tmp_path, "split.json", payload)
+        rc, out, err = run(capsys, "deduce", path)
+        assert (rc, out) == (1, "")
+        assert "ramifies 7, which splits in Q(sqrt(-3))" in err
+
+    def test_no_candidate_left_is_an_error(self, capsys, tmp_path):
+        path = write_json(tmp_path, "split.json", SHEET_SPLIT_ONLY)
+        rc, out, err = run(capsys, "deduce", path)
+        assert (rc, out) == (1, "")
+        assert "every free place (7, 13) splits" in err
+        rc, out, _ = run(capsys, "deduce", "--json", path)
+        assert rc == 1
+        assert json.loads(out)["kind"] == "error"
 
     def test_out_of_scope_file_is_an_error(self, capsys):
         rc, _, err = run(capsys, "deduce", corpus_path("on3_chi31"))

@@ -727,6 +727,37 @@ class TestResolveErrors:
         with pytest.raises(ValueError, match="splitting field"):
             resolve(s)
 
+    @staticmethod
+    def split_sheet(primes, quasi_split=True):
+        # 7 and 13 split in Q(sqrt(-3)); with no split-place rule only
+        # parity touches them, and the infinite place leaves one to ramify
+        return CharacterFactSheet(
+            id="x",
+            degree=2,
+            field=Q3,
+            group_order_factors={p: 1 for p in primes},
+            quasi_split=quasi_split,
+            split_schur_trivial=False,
+            mod_facts=(
+                fact(2, FactStatus.IRREDUCIBLE),
+                fact(3, FactStatus.ORTH_SQUARE),
+            ),
+        )
+
+    @pytest.mark.parametrize("quasi_split", [True, False])
+    def test_unique_class_at_a_split_place_names_it(self, quasi_split):
+        s = self.split_sheet((2, 3, 7), quasi_split)
+        with pytest.raises(
+            DeduceError, match=r"rule 'parity closure' ramifies 7, which splits in Q\(sqrt\(-3\)\)"
+        ):
+            resolve(s)
+
+    @pytest.mark.parametrize("quasi_split", [True, False])
+    def test_no_candidate_left_is_an_error(self, quasi_split):
+        s = self.split_sheet((2, 3, 7, 13), quasi_split)
+        with pytest.raises(DeduceError, match=r"every free place \(7, 13\) splits"):
+            resolve(s)
+
 
 class TestResolveInvariants:
     @pytest.mark.parametrize(
