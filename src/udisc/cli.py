@@ -166,6 +166,13 @@ def _wrap(path, fn, *args, **kwargs):
         _fail(path, str(e))
 
 
+def _prime_key(k, path):
+    # str.isdigit also accepts "²" and non-ASCII digits such as "٣"
+    if not (k.isascii() and k.isdigit()) or not is_prime(int(k)):
+        _fail(path, "expected a prime key")
+    return int(k)
+
+
 def _load_mod_fact(v, path):
     _as_obj(v, path, {"p", "status", "defect_one", "external"})
     p = _as_int(v.get("p"), path + ".p")
@@ -191,9 +198,7 @@ def _load_structural(v, path):
         _fail(path + ".orth_dim_sum_mod4", "expected an object")
     for k, d in raw.items():
         kp = "%s.orth_dim_sum_mod4.%s" % (path, k)
-        if not k.isdigit() or not is_prime(int(k)):
-            _fail(kp, "expected a prime key")
-        dims[int(k)] = _as_int(d, kp)
+        dims[_prime_key(k, kp)] = _as_int(d, kp)
     return _wrap(
         path, Structural,
         q8_subgroup=_as_bool(v.get("q8_subgroup", False), path + ".q8_subgroup"),
@@ -306,9 +311,7 @@ def _load_sheet(v, relations_raw, fid, path):
               "expected an object of prime: exponent entries")
     for k, e in raw.items():
         kp = "%s.group_order_factors.%s" % (path, k)
-        if not k.isdigit() or not is_prime(int(k)):
-            _fail(kp, "expected a prime key")
-        factors[int(k)] = _as_pos_int(e, kp)
+        factors[_prime_key(k, kp)] = _as_pos_int(e, kp)
     mod_facts = tuple(
         _load_mod_fact(m, "%s.mod_facts[%d]" % (path, i))
         for i, m in enumerate(_as_list(v.get("mod_facts", []), path + ".mod_facts"))

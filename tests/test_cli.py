@@ -255,15 +255,17 @@ class TestHformCommand:
     def test_each_stage_runs_once_per_form(self, monkeypatch):
         import udisc.hermforms as hf
 
+        # the one elimination runs when the Gram matrix is built; det(h)
+        # and the transfer both read its diagonal
         calls = []
-        for name in ("_determinant", "diagonalize", "delta"):
+        for name in ("_congruence_diagonal", "delta"):
             def counted(*args, _real=getattr(hf, name), _name=name):
                 calls.append(_name)
                 return _real(*args)
 
             monkeypatch.setattr(hf, name, counted)
         hform_report(corpus_path("q10_unimod4"))
-        assert sorted(calls) == ["_determinant", "delta", "diagonalize"]
+        assert sorted(calls) == ["_congruence_diagonal", "delta"]
 
     def test_nondiagonal_entries(self, capsys, tmp_path):
         # det = 2*6 - N(1 + sqrt(-10)) = 12 - 11 = 1, positive definite
@@ -402,6 +404,17 @@ class TestDeduceCommand:
         first = out.splitlines()[0]
         assert first.startswith("disc = %d," % disc)
         assert first.endswith(ram)
+
+    def test_superscript_key_is_a_load_error(self, capsys, tmp_path):
+        payload = json.loads(json.dumps(SHEET_CHI33))
+        payload["character"]["group_order_factors"]["\u00b2"] = 1
+        path = write_json(tmp_path, "sup.json", payload)
+        rc, out, err = run(capsys, "deduce", path)
+        assert rc == 1
+        assert out == ""
+        assert err == (
+            "error: character.group_order_factors.\u00b2: expected a prime key\n"
+        )
 
     def test_candidate_list(self, capsys):
         rc, out, _ = run(capsys, "deduce", corpus_path("on3_chi57_partial"))
@@ -613,6 +626,18 @@ class TestCorpusCommand:
         assert rc == 3
         assert "parity" in out
 
+    def test_superscript_key_fails_the_row(self, capsys, tmp_path):
+        payload = json.loads(json.dumps(SHEET_CHI33))
+        payload["character"]["group_order_factors"]["\u00b2"] = 1
+        payload["expected"] = {"kind": "unique", "disc": -1, "ram": ["inf", 3]}
+        write_json(tmp_path, "sup.json", payload)
+        rc, out, _ = run(capsys, "corpus", str(tmp_path))
+        assert rc == 3
+        assert out.splitlines()[0].split() == [
+            "FAIL", "sup", "load", "error:",
+            "character.group_order_factors.\u00b2:", "expected", "a", "prime", "key",
+        ]
+
     def test_programming_error_propagates(self, capsys, monkeypatch):
         def broken(ff):
             raise TypeError("bug in the checker")
@@ -687,6 +712,22 @@ class TestLoader:
         path = write_json(tmp_path, "f.json", payload)
         with pytest.raises(FactFileError, match="group_order_factors"):
             load_fact_file(path)
+
+    # str.isdigit accepts both keys; int() rejects "²" and reads "٣" as 3
+    @pytest.mark.parametrize("key", ["\u00b2", "\u0663"])
+    @pytest.mark.parametrize("block", ["group_order_factors", "orth_dim_sum_mod4"])
+    def test_non_ascii_digit_key_rejected(self, tmp_path, key, block):
+        payload = json.loads(json.dumps(SHEET_CHI33))
+        if block == "group_order_factors":
+            payload["character"]["group_order_factors"][key] = 1
+            where = "character.group_order_factors." + key
+        else:
+            payload["character"]["structural"] = {"orth_dim_sum_mod4": {key: 1}}
+            where = "character.structural.orth_dim_sum_mod4." + key
+        path = write_json(tmp_path, "f.json", payload)
+        with pytest.raises(FactFileError) as info:
+            load_fact_file(path)
+        assert str(info.value) == where + ": expected a prime key"
 
     def test_nonprime_fact_rejected(self, tmp_path):
         payload = json.loads(json.dumps(SHEET_CHI33))

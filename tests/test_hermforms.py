@@ -5,6 +5,7 @@ implementation computes determinants as a pivot product during
 diagonalization, so agreement is a real cross-check.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -108,6 +109,35 @@ def rand_pos_def(rng, field, n, span=3):
         return HermitianGram(field, tuple(tuple(r) for r in ent))
 
 
+def rand_congruent(rng, field, n):
+    """Entries of G^T J sigma(G) for a sparse, often singular G and a J of
+    signs, zeros and hyperbolic planes: zero diagonal entries and
+    degenerate matrices are both common."""
+    zero = field.elem(0, 0)
+    j = [[zero] * n for _ in range(n)]
+    i = 0
+    while i < n:
+        if i + 1 < n and rng.random() < 0.9:
+            w = rand_quadelem(rng, field)
+            j[i][i + 1], j[i + 1][i] = w, w.conj()
+            i += 2
+        else:
+            j[i][i] = field.elem(rng.choice([-1, 0, 1]), 0)
+            i += 1
+    g = [
+        [rand_quadelem(rng, field) if rng.random() < 0.35 else zero for _ in range(n)]
+        for _ in range(n)
+    ]
+    gj = [
+        [sum((g[k][a] * j[k][m] for k in range(n)), zero) for m in range(n)]
+        for a in range(n)
+    ]
+    return [
+        [sum((gj[a][m] * g[m][b].conj() for m in range(n)), zero) for b in range(n)]
+        for a in range(n)
+    ]
+
+
 class TestConstruction:
     def test_rejects_asymmetric(self):
         i = Q1.sqrt_gen()
@@ -150,13 +180,61 @@ class TestDiagonalize:
         for _ in range(40):
             field = ImagQuadField(rng.choice([1, 2, 3, 5, 10]))
             h = rand_hermitian(rng, field, rng.randint(1, 4))
-            d = diagonalize(h)
             expected = oracle_det(h.entries)
             assert expected.y == 0
-            prod = Fraction(1)
-            for a in d:
-                prod *= a
-            assert prod == expected.x
+            assert math.prod(diagonalize(h)) == expected.x
+        # zero diagonal entries send the elimination through the swap and
+        # the v_e + c v_f step
+        checked = 0
+        for _ in range(200):
+            field = ImagQuadField(rng.choice([1, 2, 3, 5, 10]))
+            ent = rand_congruent(rng, field, rng.randint(2, 5))
+            expected = oracle_det(ent)
+            if expected.is_zero() or all(
+                not ent[i][i].is_zero() for i in range(len(ent))
+            ):
+                continue
+            h = HermitianGram(field, tuple(tuple(r) for r in ent))
+            assert expected.y == 0
+            assert math.prod(diagonalize(h)) == expected.x
+            checked += 1
+        assert checked >= 10
+
+
+class TestDegeneracy:
+    def test_rejected_exactly_when_det_is_zero(self):
+        rng = random.Random(19)
+        # degenerate inputs whose first pivot needs a swap, and ones whose
+        # diagonal is all zero so the first pivot is v_1 + c v_f: both
+        # reach the zero row only after that step
+        swapped = isotropic = accepted = 0
+        for _ in range(250):
+            field = ImagQuadField(rng.choice([1, 2, 3, 5, 10]))
+            ent = rand_congruent(rng, field, rng.randint(1, 5))
+            n = len(ent)
+            if not oracle_det(ent).is_zero():
+                HermitianGram(field, tuple(tuple(r) for r in ent))
+                accepted += 1
+                continue
+            with pytest.raises(ValueError, match="degenerate Hermitian Gram"):
+                HermitianGram(field, tuple(tuple(r) for r in ent))
+            zero_diag = [ent[i][i].is_zero() for i in range(n)]
+            if zero_diag[0] and not all(zero_diag):
+                swapped += 1
+            elif all(zero_diag) and any(not x.is_zero() for x in ent[0]):
+                isotropic += 1
+        assert min(swapped, isotropic, accepted) >= 5
+
+    def test_isotropic_pivot_then_zero_row(self):
+        # H(e1,e1) = H(e2,e2) = 0 and H(e1,e2) = i, so the first pivot is
+        # e1 + sqrt(-1) e2; e3 spans the radical
+        i = Q1.sqrt_gen()
+        with pytest.raises(ValueError, match="degenerate Hermitian Gram"):
+            gram(Q1, [[0, i, 0], [-i, 0, 0], [0, 0, 0]])
+
+    def test_swap_then_zero_row(self):
+        with pytest.raises(ValueError, match="degenerate Hermitian Gram"):
+            gram(Q3, [[0, 0, 0], [0, 2, 1], [0, 1, 5]])
 
 
 class TestDisc:
