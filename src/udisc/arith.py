@@ -1,18 +1,22 @@
 """Integer arithmetic for the rest of the package: primality and factoring.
 
-Stdlib only on the common path. Primality is trial division, then
-Miller-Rabin on the first 13 prime bases, which is deterministic below
-3317044064679887385961981 (Sorenson and Webster, Math. Comp. 86 (2017)).
-Factoring is trial division, then Brent's variant of Pollard rho (Brent,
-BIT 20 (1980)). sympy is imported lazily, and only for what these cannot
-settle: primality above that bound, and a composite that survives the
-rho budget.
+Stdlib only. Primality is trial division, then Miller-Rabin on the first 13
+prime bases, deterministic below 3317044064679887385961981 (Sorenson and
+Webster, Math. Comp. 86 (2017)); above it a strong Lucas test follows, which
+with base 2 makes Baillie-PSW (Baillie and Wagstaff, Math. Comp. 35 (1980)).
+Factoring is trial division, Brent's rho (BIT 20 (1980)), then stage-1 ECM
+(Lenstra, Ann. Math. 126 (1987)) on Montgomery curves with Suyama's
+parametrization (Montgomery, Math. Comp. 48 (1987)) under a fixed budget.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+
+
+class FactoringLimit(ValueError):
+    """A composite had no factor found within the factoring budget."""
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -33,13 +37,16 @@ _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 _MR_BASES = _SMALL_PRIMES[:13]
 # the least strong pseudoprime to all of _MR_BASES
 _MR_BOUND = 3317044064679887385961981
-# modular squarings rho may spend on one cofactor before handing it to sympy
+# modular squarings rho may spend on one cofactor before ECM takes over
 _RHO_BUDGET = 1 << 18
+# (curves, B1) of stage-1 ECM on a cofactor that rho did not split; fixed
+# sigma = 6, 7, ... make every outcome, FactoringLimit included, reproducible
+_ECM_BUDGET = (80, 11000)
 
 
 @lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
-    """True iff n is a prime; deterministic for every integer n."""
+    """True iff n is a prime; deterministic below _MR_BOUND, Baillie-PSW above."""
     if n <= _TRIAL_BOUND:
         return n in _SMALL_PRIME_SET
     for p in _SMALL_PRIMES:
@@ -47,14 +54,13 @@ def is_prime(n: int) -> bool:
             return False
     if n < _TRIAL_BOUND * _TRIAL_BOUND:
         return True
-    if n >= _MR_BOUND:
-        from sympy import isprime
+    return _miller_rabin(n) and (n < _MR_BOUND or _strong_lucas(n))
 
-        return bool(isprime(n))
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+
+def _miller_rabin(n: int) -> bool:
+    """True iff the odd n > 41 is a strong probable prime to all _MR_BASES."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
     for a in _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -66,6 +72,50 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a|n) for odd n > 0."""
+    a %= n
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """True iff the odd n > 1 is a strong Lucas probable prime, with P = 1,
+    Q = (1 - D)/4 and D the first of 5, -7, 9, -11, ... with (D|n) = -1."""
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else 2 - D
+    if j == 0:
+        return n == abs(D)
+    Q, half = (1 - D) // 4, (n + 1) // 2
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    # U_k, V_k and Q^k for k running through the leading bits of (n + 1)/2^s
+    U, V, Qk = 1, 1, Q
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) * half % n, (D * U + V) * half % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _rho(n: int) -> int | None:
@@ -101,11 +151,43 @@ def _rho(n: int) -> int | None:
     return None
 
 
+def _ecm(n: int) -> int | None:
+    """A proper divisor of the odd composite n by stage-1 ECM, or None."""
+    curves, b1 = _ECM_BUDGET
+    # the ladder multiplies by lcm(1, ..., B1), which holds every prime
+    # power up to B1
+    bits = bin(lcm(*range(1, b1 + 1)))[2:]
+    for sigma in range(6, 6 + curves):
+        # Suyama: the point (u^3 : v^3) on the curve with (A + 2)/4 = a24
+        u, v = sigma * sigma - 5, 4 * sigma
+        den = 16 * u**3 * v
+        if (g := gcd(den, n)) != 1:
+            return g if g < n else None
+        a24 = (v - u) ** 3 * (3 * u + v) * pow(den, -1, n) % n
+        x0, z0 = u**3 % n, v**3 % n
+        # Montgomery ladder from O: (xa : za) = kP, (xb : zb) = (k + 1)P
+        xa, za, xb, zb = 1, 0, x0, z0
+        for bit in bits:
+            if bit == "1":
+                xa, za, xb, zb = xb, zb, xa, za
+            s, t = (xa - za) * (xb + zb) % n, (xa + za) * (xb - zb) % n
+            xb, zb = z0 * (s + t) ** 2 % n, x0 * (s - t) ** 2 % n
+            s, t = (xa + za) ** 2 % n, (xa - za) ** 2 % n
+            xa, za = s * t % n, (s - t) * (t + a24 * (s - t)) % n
+            if bit == "1":
+                xa, za, xb, zb = xb, zb, xa, za
+        g = gcd(za, n)
+        if 1 < g < n:
+            return g
+    return None
+
+
 @lru_cache(maxsize=4096)
 def factor(n: int) -> tuple[tuple[int, int], ...]:
     """Factorization of |n| as ascending (prime, exponent) pairs.
 
-    factor(1) == factor(-1) == (); n = 0 raises ValueError.
+    factor(1) == factor(-1) == (); n = 0 raises ValueError. A composite
+    that neither rho nor the ECM budget splits raises FactoringLimit.
     """
     n = abs(n)
     if n == 0:
@@ -123,13 +205,11 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _rho(m)
+        d = _rho(m) or _ecm(m)
         if d is None:
-            from sympy import factorint
-
-            for p, e in factorint(m).items():
-                out[int(p)] = out.get(int(p), 0) + e
-            continue
+            raise FactoringLimit("no factor of a %d-digit composite found within"
+                                 " the budget of %d ECM curves at B1 = %d"
+                                 % (len(str(m)), *_ECM_BUDGET))
         pending += [d, m // d]
     return tuple(sorted(out.items()))
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .arith import is_prime
+from .arith import FactoringLimit, factor, is_prime
 from .brauer import BrauerClassQ, from_pair, pair_presentation
 from .deduce import (
     AlphaFacts,
@@ -119,12 +119,18 @@ def _as_str(v, path):
 
 def _as_fraction(v, path):
     if _is_int(v):
-        return Fraction(v)
+        v = [v, 1]
     if not (isinstance(v, list) and len(v) == 2 and all(_is_int(x) for x in v)):
         _fail(path, "expected an integer or a [numerator, denominator] pair")
     if v[1] == 0:
         _fail(path, "zero denominator")
-    return Fraction(v[0], v[1])
+    q = Fraction(v[0], v[1])
+    # factor both parts here, so a FactoringLimit names this path; the rules
+    # later read the same factorizations from factor's cache
+    if q:
+        _wrap(path, factor, q.numerator)
+        _wrap(path, factor, q.denominator)
+    return q
 
 
 def _as_places(v, path):
@@ -141,11 +147,31 @@ def _as_places(v, path):
     return frozenset(out)
 
 
-def _as_obj(v, path, allowed):
+class _DuplicateKeys(dict):
+    """A JSON object in which the key `duplicate` occurs more than once."""
+
+    duplicate = None
+
+
+def _json_object(pairs):
+    # object_pairs_hook for json.loads, which would keep the last of two
+    # equal keys without a word; the schema check rejects them by path
+    obj = dict(pairs)
+    if len(obj) == len(pairs):
+        return obj
+    seen = set()
+    obj = _DuplicateKeys(obj)
+    obj.duplicate = next(k for k, _ in pairs if k in seen or seen.add(k))
+    return obj
+
+
+def _as_obj(v, path, allowed=None):
     if not isinstance(v, dict):
         _fail(path, "expected an object")
+    if isinstance(v, _DuplicateKeys):
+        _fail("%s.%s" % (path, v.duplicate), "duplicate key")
     for k in v:
-        if k not in allowed:
+        if allowed is not None and k not in allowed:
             _fail("%s.%s" % (path, k), "unknown key")
     return v
 
@@ -168,9 +194,12 @@ def _wrap(path, fn, *args, **kwargs):
 
 def _prime_key(k, path):
     # str.isdigit also accepts "²" and non-ASCII digits such as "٣"
-    if not (k.isascii() and k.isdigit()) or not is_prime(int(k)):
+    if not (k.isascii() and k.isdigit() and is_prime(p := _wrap(path, int, k))):
         _fail(path, "expected a prime key")
-    return int(k)
+    # canonical decimal only, or "03" and "3" would name the same prime
+    if k != str(p):
+        _fail(path, "expected a prime key without leading zeros")
+    return p
 
 
 def _load_mod_fact(v, path):
@@ -193,9 +222,7 @@ def _load_structural(v, path):
     _as_obj(v, path, {"q8_subgroup", "perfect", "center_order",
                       "orth_dim_sum_mod4", "faithful"})
     dims = {}
-    raw = v.get("orth_dim_sum_mod4", {})
-    if not isinstance(raw, dict):
-        _fail(path + ".orth_dim_sum_mod4", "expected an object")
+    raw = _as_obj(v.get("orth_dim_sum_mod4", {}), path + ".orth_dim_sum_mod4")
     for k, d in raw.items():
         kp = "%s.orth_dim_sum_mod4.%s" % (path, k)
         dims[_prime_key(k, kp)] = _as_int(d, kp)
@@ -255,7 +282,7 @@ def _load_constituent(v, path, L):
         d = _as_fraction(v["delta_disc"], path + ".delta_disc")
         if d == 0:
             _fail(path + ".delta_disc", "must be nonzero")
-        delta_class = from_pair(L.field_disc, d)
+        delta_class = _wrap(path + ".delta_disc", from_pair, L.field_disc, d)
     elif "delta_ram" in v:
         delta_class = _wrap(path + ".delta_ram", BrauerClassQ,
                             _as_places(v["delta_ram"], path + ".delta_ram"))
@@ -309,6 +336,7 @@ def _load_sheet(v, relations_raw, fid, path):
     if not isinstance(raw, dict) or not raw:
         _fail(path + ".group_order_factors",
               "expected an object of prime: exponent entries")
+    _as_obj(raw, path + ".group_order_factors")
     for k, e in raw.items():
         kp = "%s.group_order_factors.%s" % (path, k)
         factors[_prime_key(k, kp)] = _as_pos_int(e, kp)
@@ -389,9 +417,12 @@ def load_fact_file(path) -> FactFile:
     except OSError as e:
         raise FactFileError(str(e))
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, object_pairs_hook=_json_object)
     except json.JSONDecodeError as e:
         raise FactFileError("line %d, column %d: %s" % (e.lineno, e.colno, e.msg))
+    except ValueError as e:
+        # an integer literal beyond the interpreter's 4300-digit limit
+        _fail("fact file", e)
     _as_obj(doc, "fact file", {"id", "note", "character", "gram", "relations",
                                "expected", "out_of_scope", "degree", "field"})
     fid = _as_str(doc.get("id", path.stem), "id")
@@ -447,13 +478,23 @@ def report_from_deduction(dd: DeductionReport) -> Report:
                   free=list(r.unknowns), trace=trace)
 
 
+def _within_budget(path, fn, arg):
+    # the rules and invariants also factor numbers derived from a block,
+    # such as products of rationals or det(H); a FactoringLimit there
+    # names the block
+    try:
+        return fn(arg)
+    except FactoringLimit as e:
+        _fail(path, e)
+
+
 def deduce_report(path) -> Report:
     ff = load_fact_file(path)
     if ff.out_of_scope:
         raise FactFileError("%s: out of scope: %s" % (ff.id, ff.note))
     if ff.sheet is None:
         raise FactFileError("character: missing (this file has no fact sheet)")
-    return report_from_deduction(resolve(ff.sheet))
+    return report_from_deduction(_within_budget("character", resolve, ff.sheet))
 
 
 def _transfer_summary(f: FormInvariants) -> dict:
@@ -474,7 +515,7 @@ def hform_report(path) -> Report:
     ff = load_fact_file(path)
     if ff.gram is None:
         raise FactFileError("gram: missing (this file has no Gram block)")
-    f = form_invariants(ff.gram)
+    f = _within_budget("gram", form_invariants, ff.gram)
     return Report(id=ff.id, kind="unique", disc=f.disc,
                   ram=_sorted_ram(f.delta), transfer=_transfer_summary(f))
 
@@ -601,10 +642,10 @@ def cmd_isnorm(args) -> int:
     try:
         a = _parse_rational(args.a)
         L = ImagQuadField(int(args.delta0))
+        ans = is_norm(a, L)
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-    ans = is_norm(a, L)
     if args.json:
         print(json.dumps({"a": str(a), "delta0": L.delta0, "is_norm": ans}))
     else:
@@ -618,7 +659,7 @@ def _check_corpus_row(ff: FactFile):
     if ff.gram is not None:
         if exp["kind"] != "hform":
             return False, "expected kind %r does not fit a gram row" % exp["kind"]
-        f = form_invariants(ff.gram)
+        f = _within_budget("gram", form_invariants, ff.gram)
         got_disc, got_ram = f.disc, _sorted_ram(f.delta)
         if f.clifford != f.delta:
             return False, "clifford invariant mismatch"
@@ -627,7 +668,7 @@ def _check_corpus_row(ff: FactFile):
         return False, ("expected disc %d %s, got disc %d %s"
                        % (exp["disc"], render_places(exp["ram"]),
                           got_disc, render_places(got_ram)))
-    report = report_from_deduction(resolve(ff.sheet))
+    report = report_from_deduction(_within_budget("character", resolve, ff.sheet))
     if exp["kind"] == "unique":
         if report.kind != "unique":
             return False, "expected unique, got %s" % report.kind

@@ -1,11 +1,14 @@
 """Integer arithmetic against sympy as the oracle.
 
 Covers the edge values, Carmichael numbers, strong pseudoprimes to many
-Miller-Rabin bases, the sympy fallback above the deterministic bound, and
-that the command line never imports sympy on its common path.
+Miller-Rabin bases, strong Lucas pseudoprimes and the Baillie-PSW test
+above the deterministic bound, semiprimes that only ECM splits, the
+factoring budget, and that the command line runs without sympy at all.
 """
+import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +19,16 @@ from hypothesis import strategies as st
 from sympy import factorint, isprime, nextprime, primefactors, primerange
 
 import udisc
-from udisc.arith import factor, is_prime, prime_factors, primes_up_to
+from udisc import arith
+from udisc.arith import (
+    FactoringLimit,
+    _miller_rabin,
+    _strong_lucas,
+    factor,
+    is_prime,
+    prime_factors,
+    primes_up_to,
+)
 
 big = st.integers(min_value=-(10**30), max_value=10**30)
 # up to 10^30 with several large prime factors, which rho has to split
@@ -87,7 +99,7 @@ class TestHardInputs:
     @pytest.mark.parametrize(
         "n",
         # strong pseudoprimes to the first 4, 11, 12 and 13 prime bases; the
-        # last is the deterministic bound itself, so only sympy rejects it
+        # last is the deterministic bound itself, which the Lucas step rejects
         [3215031751, 3825123056546413051, 318665857834031151167461,
          3317044064679887385961981],
     )
@@ -104,6 +116,66 @@ class TestHardInputs:
     def test_square_of_a_large_prime(self):
         p = int(nextprime(10**9))
         assert factor(p * p * 12) == ((2, 2), (3, 1), (p, 2))
+
+
+# the strong Lucas pseudoprimes below 30000 for Selfridge's parameters
+# (OEIS A217255)
+LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
+# the product of two 26-digit primes: beyond rho and the ECM budget
+HARD = 10000000000000000000000013 * 20000000000000000000000009
+
+
+class TestBailliePSW:
+    @pytest.mark.parametrize("n", LUCAS_PSEUDOPRIMES[:5])
+    def test_lucas_pseudoprimes_fail_miller_rabin(self, n):
+        assert _strong_lucas(n)
+        assert not _miller_rabin(n)
+        assert not is_prime(n)
+
+    def test_lucas_passes_exactly_primes_and_pseudoprimes(self):
+        passed = [n for n in range(3, 30000, 2) if _strong_lucas(n)]
+        assert [n for n in passed if not isprime(n)] == LUCAS_PSEUDOPRIMES
+        assert [n for n in passed if isprime(n)] == list(primerange(3, 30000))
+
+    def test_lucas_rejects_the_deterministic_bound(self):
+        n = 3317044064679887385961981
+        assert _miller_rabin(n)
+        assert not _strong_lucas(n)
+        assert not is_prime(n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(10**25, 10**40))
+    def test_is_prime_above_the_bound(self, n):
+        assert is_prime(n) == isprime(n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(10**25, 10**40))
+    def test_primes_and_semiprimes_above_the_bound(self, n):
+        p = int(nextprime(n))
+        assert is_prime(p)
+        assert not is_prime(p * int(nextprime(p)))
+
+
+class TestECM:
+    @pytest.mark.parametrize("digits", [12, 14, 16])
+    def test_splits_semiprimes(self, digits):
+        # two prime factors of the given size, beyond rho's budget
+        rng = random.Random(digits)
+        p, q = sorted(int(nextprime(rng.randrange(10 ** (digits - 1), 10**digits)))
+                      for _ in range(2))
+        assert p != q
+        assert factor(p * q) == ((p, 1), (q, 1))
+        assert factor(-12 * p * q) == ((2, 2), (3, 1), (p, 1), (q, 1))
+
+    def test_budget_runs_out(self, monkeypatch):
+        monkeypatch.setattr(arith, "_RHO_BUDGET", 1 << 8)
+        monkeypatch.setattr(arith, "_ECM_BUDGET", (2, 100))
+        with pytest.raises(FactoringLimit) as info:
+            factor(7 * HARD)
+        assert str(info.value) == (
+            "no factor of a 51-digit composite found within the budget of"
+            " 2 ECM curves at B1 = 100")
+        assert isinstance(info.value, ValueError)
 
 
 def test_cli_does_not_import_sympy():
@@ -125,3 +197,47 @@ def test_cli_does_not_import_sympy():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_runs_with_sympy_blocked(tmp_path):
+    # `udisc` in fresh interpreters that cannot import sympy: the corpus, a
+    # prime past the deterministic bound, and two inputs past the real
+    # factoring budget, one on the command line and one in a fact file
+    sheet = {
+        "id": "hard",
+        "character": {"degree": 2, "delta0": 1, "group_order_factors": {"2": 1}},
+        "relations": [{"kind": "restriction", "constituents": [
+            {"indicator": "+", "degree": 2, "class_ram": [], "ortho_disc": HARD},
+        ]}],
+    }
+    path = tmp_path / "hard.json"
+    path.write_text(json.dumps(sheet))
+    code = ("import sys\n"
+            "sys.modules['sympy'] = None\n"
+            "import udisc.cli\n"
+            "sys.exit(udisc.cli.main())\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(udisc.__file__).parent.parent))
+    argvs = [
+        ["corpus"],
+        ["symbol", str(nextprime(4 * 10**24)), "3"],
+        ["symbol", str(HARD), "3"],
+        ["deduce", str(path)],
+    ]
+    # the two hard inputs each spend the whole budget, so run all at once
+    procs = [subprocess.Popen([sys.executable, "-c", code, *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True) for argv in argvs]
+    try:
+        outs = [p.communicate(timeout=300) for p in procs]
+    finally:
+        for p in procs:
+            p.kill()
+    (rc0, rc1, rc2, rc3) = [p.returncode for p in procs]
+    (out0, _), (out1, _), (_, err2), (_, err3) = outs
+    limit = ("no factor of a 51-digit composite found within the budget of"
+             " 80 ECM curves at B1 = 11000\n")
+    assert rc0 == 0 and out0.endswith("all pass\n")
+    assert rc1 == 0 and out1.startswith("inf:1 ")
+    assert rc2 == 1 and err2 == "error: " + limit
+    assert rc3 == 1
+    assert err3 == "error: relations[0].constituents[0].ortho_disc: " + limit

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from udisc import arith
 from udisc.cli import (
     FactFile,
     FactFileError,
@@ -729,6 +730,53 @@ class TestLoader:
             load_fact_file(path)
         assert str(info.value) == where + ": expected a prime key"
 
+    @pytest.mark.parametrize("block", ["group_order_factors", "orth_dim_sum_mod4"])
+    def test_leading_zero_key_rejected(self, tmp_path, block):
+        # "03" would otherwise overwrite the entry for "3"
+        payload = json.loads(json.dumps(SHEET_CHI33))
+        if block == "group_order_factors":
+            payload["character"]["group_order_factors"]["03"] = 1
+            where = "character.group_order_factors.03"
+        else:
+            payload["character"]["structural"] = {
+                "orth_dim_sum_mod4": {"3": 1, "03": 2}}
+            where = "character.structural.orth_dim_sum_mod4.03"
+        path = write_json(tmp_path, "f.json", payload)
+        with pytest.raises(FactFileError) as info:
+            load_fact_file(path)
+        assert str(info.value) == where + ": expected a prime key without leading zeros"
+
+    @pytest.mark.parametrize("old,new,where", [
+        ('"degree": 110670', '"degree": 110670, "degree": 2', "character.degree"),
+        ('"3": 5', '"3": 5, "3": 1', "character.group_order_factors.3"),
+        ('"id": "o10p2_chi33"', '"id": "a", "id": "b"', "fact file.id"),
+        ('"p": 7,', '"p": 7, "p": 5,', "character.mod_facts[0].p"),
+    ])
+    def test_literal_duplicate_key_rejected(self, tmp_path, old, new, where):
+        text = json.dumps(SHEET_CHI33)
+        assert old in text
+        path = tmp_path / "f.json"
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(FactFileError) as info:
+            load_fact_file(path)
+        assert str(info.value) == where + ": duplicate key"
+
+    def test_oversized_integer_literal(self, capsys, tmp_path):
+        # json.loads refuses integer literals over 4300 digits with a plain
+        # ValueError
+        text = json.dumps(SHEET_CHI33).replace("110670", "1" * 5000)
+        (tmp_path / "big.json").write_text(text)
+        rc, out, err = run(capsys, "deduce", str(tmp_path / "big.json"))
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: fact file: ")
+        assert "4300" in err
+        rc, out, _ = run(capsys, "corpus", str(tmp_path))
+        assert rc == 3
+        assert out.splitlines()[0].split()[:5] == [
+            "FAIL", "big", "load", "error:", "fact"]
+        assert out.splitlines()[-1] == "0 sheets, 0 grams, 0 skipped: 1 failure"
+
     def test_nonprime_fact_rejected(self, tmp_path):
         payload = json.loads(json.dumps(SHEET_CHI33))
         payload["character"]["mod_facts"][0]["p"] = 6
@@ -797,6 +845,79 @@ class TestLoader:
         path = write_json(tmp_path, "stem_name.json", payload)
         ff = load_fact_file(path)
         assert ff.id == "stem_name"
+
+
+# the product of two 26-digit primes
+HARD = 10000000000000000000000013 * 20000000000000000000000009
+LIMIT = ("no factor of a 51-digit composite found within the budget of"
+         " 1 ECM curves at B1 = 50")
+
+
+class TestFactoringLimit:
+    """Inputs past the factoring budget exit 1 with an error naming their path.
+
+    The budget is shrunk in-process so that each case gives up at once.
+    """
+
+    @pytest.fixture(autouse=True)
+    def tiny_budget(self, monkeypatch):
+        monkeypatch.setattr(arith, "_RHO_BUDGET", 1 << 8)
+        monkeypatch.setattr(arith, "_ECM_BUDGET", (1, 50))
+
+    @pytest.mark.parametrize("argv", [
+        ["symbol", str(HARD), "3"],
+        ["symbol", "3", "-1/%d" % HARD],
+        ["isnorm", str(HARD), "3"],
+        ["isnorm", "7", str(HARD)],
+    ])
+    def test_command_line_arguments(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err == "error: %s\n" % LIMIT
+
+    @pytest.mark.parametrize("key", ["ortho_disc", "delta_disc"])
+    def test_constituent_rational(self, capsys, tmp_path, key):
+        payload = json.load(open(corpus_path("u37_chi27")))
+        constituents = payload["relations"][0]["constituents"]
+        if key == "ortho_disc":
+            constituents[0] = {"indicator": "+", "degree": 342, "class_ram": [],
+                               "ortho_disc": [-HARD, 1]}
+        else:
+            constituents[0]["delta_disc"] = [HARD, 1]
+        path = write_json(tmp_path, "hard.json", payload)
+        rc, out, _ = run(capsys, "--json", "deduce", path)
+        assert rc == 1
+        assert json.loads(out)["kind"] == "error"
+        assert json.loads(out)["error"] == (
+            "relations[0].constituents[0].%s: %s" % (key, LIMIT))
+        rc, out, _ = run(capsys, "corpus", str(tmp_path))
+        assert rc == 3
+        assert out.startswith("FAIL  hard                load error: relations[0]")
+
+    def test_rational_derived_from_a_sheet(self, capsys, tmp_path):
+        # each alpha part is a prime, but the rules factor their product
+        payload = json.load(open(corpus_path("hn_chi25")))
+        parts = payload["character"]["alpha_facts"]["parts"]
+        parts[0]["det"] = [10000000000000000000000013, 1]
+        parts[1]["det"] = [20000000000000000000000009, 1]
+        path = write_json(tmp_path, "hard.json", payload)
+        rc, out, err = run(capsys, "deduce", path)
+        assert (rc, out) == (1, "")
+        assert err == "error: character: %s\n" % LIMIT
+        rc, out, _ = run(capsys, "corpus", str(tmp_path))
+        assert rc == 3
+        assert out.startswith("FAIL  hn_chi25            error: character: ")
+
+    def test_gram_determinant(self, capsys, tmp_path):
+        payload = {"id": "hard", "gram": {"delta0": 1, "entries": [[[HARD, 1, 0, 1]]]},
+                   "expected": {"kind": "hform", "disc": 1, "ram": []}}
+        path = write_json(tmp_path, "hard.json", payload)
+        rc, out, _ = run(capsys, "--json", "hform", path)
+        assert rc == 1
+        assert json.loads(out)["error"] == "gram: " + LIMIT
+        rc, out, _ = run(capsys, "corpus", str(tmp_path))
+        assert rc == 3
+        assert out.startswith("FAIL  hard                error: gram: ")
 
 
 class TestReportSerialization:
