@@ -12,7 +12,7 @@ parametrization (Montgomery, Math. Comp. 48 (1987)) under a fixed budget.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 
 class FactoringLimit(ValueError):
@@ -151,12 +151,28 @@ def _rho(n: int) -> int | None:
     return None
 
 
+@lru_cache(maxsize=4)
+def _ladder_bits(b1: int) -> str:
+    """The binary digits of lcm(1, ..., b1), the product of the largest
+    power of each prime p <= b1 that is at most b1.
+
+    Built on the first ECM call for each b1, never at import.
+    """
+    k = 1
+    for p in primes_up_to(b1):
+        q = p
+        while q * p <= b1:
+            q *= p
+        k *= q
+    return bin(k)[2:]
+
+
 def _ecm(n: int) -> int | None:
     """A proper divisor of the odd composite n by stage-1 ECM, or None."""
     curves, b1 = _ECM_BUDGET
     # the ladder multiplies by lcm(1, ..., B1), which holds every prime
     # power up to B1
-    bits = bin(lcm(*range(1, b1 + 1)))[2:]
+    bits = _ladder_bits(b1)
     for sigma in range(6, 6 + curves):
         # Suyama: the point (u^3 : v^3) on the curve with (A + 2)/4 = a24
         u, v = sigma * sigma - 5, 4 * sigma
@@ -182,14 +198,18 @@ def _ecm(n: int) -> int | None:
     return None
 
 
-@lru_cache(maxsize=4096)
 def factor(n: int) -> tuple[tuple[int, int], ...]:
     """Factorization of |n| as ascending (prime, exponent) pairs.
 
     factor(1) == factor(-1) == (); n = 0 raises ValueError. A composite
     that neither rho nor the ECM budget splits raises FactoringLimit.
     """
-    n = abs(n)
+    # one cache entry for n and -n, so no composite is split twice
+    return _factor_abs(abs(n))
+
+
+@lru_cache(maxsize=4096)
+def _factor_abs(n: int) -> tuple[tuple[int, int], ...]:
     if n == 0:
         raise ValueError("factorization of 0 is undefined")
     out: dict[int, int] = {}

@@ -10,7 +10,6 @@ signed squarefree integer t with (field_disc, t)_Q in the given class,
 minimal in absolute value and positive on ties.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -25,18 +24,30 @@ from .symbols import (
 )
 
 
-@dataclass(frozen=True)
 class BrauerClassQ:
-    """Order-2 Brauer class over Q, as its ramification set."""
+    """Order-2 Brauer class over Q, as its ramification set; equal and
+    hashed by that set."""
 
-    ram: frozenset
+    __slots__ = ("ram",)
 
-    def __post_init__(self):
-        if len(self.ram) % 2 != 0:
-            raise ValueError(f"ramification set must have even size: {set(self.ram)}")
-        for v in self.ram:
+    def __init__(self, ram: frozenset):
+        if len(ram) % 2 != 0:
+            raise ValueError(f"ramification set must have even size: {set(ram)}")
+        for v in ram:
             if v != INF and (not isinstance(v, int) or v < 2):
                 raise ValueError(f"not a place of Q: {v!r}")
+        self.ram = ram
+
+    def __eq__(self, other):
+        if other.__class__ is not BrauerClassQ:
+            return NotImplemented
+        return self.ram == other.ram
+
+    def __hash__(self):
+        return hash((self.ram,))
+
+    def __repr__(self):
+        return f"BrauerClassQ(ram={self.ram!r})"
 
     def is_split(self) -> bool:
         return not self.ram

@@ -14,47 +14,36 @@ matrix (block "gram"), with all rationals written as integers or
 
 Exit codes: 0 success, 1 error, 2 inconclusive deduction (candidate
 list or under-determined), 3 corpus mismatch.
+
+Each process answers one question, so each subcommand loads only the
+modules it uses. symbol and isnorm load arith, symbols, quadfield and
+brauer; deduce adds deduce, hform adds hermforms, and corpus adds both.
+The functions here that need deduce or hermforms import them locally.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .arith import FactoringLimit, factor, is_prime
 from .brauer import BrauerClassQ, from_pair, pair_presentation
-from .deduce import (
-    AlphaFacts,
-    Candidates,
-    CharacterFactSheet,
-    Constituent,
-    DeductionReport,
-    FactStatus,
-    InductionRelation,
-    ModFact,
-    RestrictionRelation,
-    Structural,
-    TensorRelation,
-    UnderDetermined,
-    Unique,
-    resolve,
-)
-from .hermforms import FormInvariants, HermitianGram, form_invariants
 from .quadfield import ImagQuadField, QuadElem, is_norm
 from .symbols import INF, hilbert, place_sort_key, relevant_places, render_places
+
+if TYPE_CHECKING:
+    from .deduce import CharacterFactSheet, DeductionReport
+    from .hermforms import FormInvariants, HermitianGram
 
 
 class FactFileError(ValueError):
     """A fact file failed schema validation; the message names the JSON path."""
 
 
-@dataclass
-class FactFile:
+class FactFile(NamedTuple):
     id: str
     sheet: Optional[CharacterFactSheet] = None
     gram: Optional[HermitianGram] = None
@@ -63,8 +52,7 @@ class FactFile:
     note: str = ""
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """Result of one deduction or Gram-matrix computation, JSON-serialisable."""
 
     id: str
@@ -73,7 +61,8 @@ class Report:
     ram: Optional[list] = None
     items: Optional[list] = None
     free: Optional[list] = None
-    trace: list = field(default_factory=list)
+    # shared by every report without a trace; reports are never mutated
+    trace: list = []
     error: Optional[str] = None
     transfer: Optional[dict] = None
 
@@ -203,6 +192,8 @@ def _prime_key(k, path):
 
 
 def _load_mod_fact(v, path):
+    from .deduce import FactStatus, ModFact
+
     _as_obj(v, path, {"p", "status", "defect_one", "external"})
     p = _as_int(v.get("p"), path + ".p")
     if not is_prime(p):
@@ -219,6 +210,8 @@ def _load_mod_fact(v, path):
 
 
 def _load_structural(v, path):
+    from .deduce import Structural
+
     _as_obj(v, path, {"q8_subgroup", "perfect", "center_order",
                       "orth_dim_sum_mod4", "faithful"})
     dims = {}
@@ -237,6 +230,8 @@ def _load_structural(v, path):
 
 
 def _load_alpha(v, path):
+    from .deduce import AlphaFacts
+
     _as_obj(v, path, {"q_class", "m", "indicator_ext", "alpha_disc", "parts"})
     q_class = _wrap(path + ".q_class", BrauerClassQ,
                     _as_places(v.get("q_class", []), path + ".q_class"))
@@ -266,6 +261,8 @@ def _load_alpha(v, path):
 
 
 def _load_constituent(v, path, L):
+    from .deduce import Constituent
+
     _as_obj(v, path, {"indicator", "degree", "mult", "hyperbolic",
                       "class_ram", "ortho_disc", "delta_disc", "delta_ram"})
     brauer_class = None
@@ -299,6 +296,8 @@ def _load_constituent(v, path, L):
 
 
 def _load_relation(v, path, L):
+    from .deduce import InductionRelation, RestrictionRelation, TensorRelation
+
     if not isinstance(v, dict) or "kind" not in v:
         _fail(path, 'expected an object with a "kind" key')
     kind = _as_str(v["kind"], path + ".kind")
@@ -325,6 +324,8 @@ def _load_relation(v, path, L):
 
 
 def _load_sheet(v, relations_raw, fid, path):
+    from .deduce import CharacterFactSheet
+
     _as_obj(v, path, {"degree", "delta0", "group_order_factors", "quasi_split",
                       "split_schur_trivial", "mod_facts", "structural",
                       "alpha_facts", "relations"})
@@ -367,6 +368,8 @@ def _load_sheet(v, relations_raw, fid, path):
 
 
 def _load_gram(v, path):
+    from .hermforms import HermitianGram
+
     _as_obj(v, path, {"delta0", "entries"})
     L = _wrap(path + ".delta0", ImagQuadField,
               _as_pos_int(v.get("delta0"), path + ".delta0"))
@@ -449,13 +452,12 @@ def load_fact_file(path) -> FactFile:
 
 
 def report_to_json(r: Report) -> dict:
-    return dataclasses.asdict(r)
+    return r._asdict()
 
 
 def report_from_json(d: dict) -> Report:
-    names = {f.name for f in dataclasses.fields(Report)}
     for k in d:
-        if k not in names:
+        if k not in Report._fields:
             raise FactFileError("report field %r is not recognised" % k)
     return Report(**d)
 
@@ -465,6 +467,8 @@ def _sorted_ram(cls: BrauerClassQ) -> list:
 
 
 def report_from_deduction(dd: DeductionReport) -> Report:
+    from .deduce import Candidates, UnderDetermined, Unique
+
     trace = [[t.place, t.rule, t.citation] for t in dd.trace]
     r = dd.result
     if isinstance(r, Unique):
@@ -489,6 +493,8 @@ def _within_budget(path, fn, arg):
 
 
 def deduce_report(path) -> Report:
+    from .deduce import resolve
+
     ff = load_fact_file(path)
     if ff.out_of_scope:
         raise FactFileError("%s: out of scope: %s" % (ff.id, ff.note))
@@ -512,6 +518,8 @@ def _transfer_summary(f: FormInvariants) -> dict:
 
 
 def hform_report(path) -> Report:
+    from .hermforms import form_invariants
+
     ff = load_fact_file(path)
     if ff.gram is None:
         raise FactFileError("gram: missing (this file has no Gram block)")
@@ -655,6 +663,9 @@ def cmd_isnorm(args) -> int:
 
 def _check_corpus_row(ff: FactFile):
     # returns (ok, detail) for one fact file with an expected block
+    from .deduce import resolve
+    from .hermforms import form_invariants
+
     exp = ff.expected
     if ff.gram is not None:
         if exp["kind"] != "hform":

@@ -18,7 +18,6 @@ reason it applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from typing import NamedTuple, Optional, Union
 
@@ -49,7 +48,6 @@ class FactStatus(Enum):
     ORTH_NONSQUARE = "OrthNonsquare"
 
 
-@dataclass(frozen=True)
 class ModFact:
     """One verdict about the reduction of chi modulo p.
 
@@ -61,19 +59,20 @@ class ModFact:
     at primes not dividing the group order.
     """
 
-    p: int
-    status: FactStatus
-    defect_one: bool = False
-    external: bool = False
+    __slots__ = ("p", "status", "defect_one", "external")
 
-    def __post_init__(self):
-        if not isinstance(self.p, int) or not is_prime(self.p):
-            raise ValueError(f"mod fact needs a prime, got {self.p!r}")
-        if not isinstance(self.status, FactStatus):
-            raise ValueError(f"not a fact status: {self.status!r}")
+    def __init__(self, p: int, status: FactStatus, defect_one: bool = False,
+                 external: bool = False):
+        if not isinstance(p, int) or not is_prime(p):
+            raise ValueError(f"mod fact needs a prime, got {p!r}")
+        if not isinstance(status, FactStatus):
+            raise ValueError(f"not a fact status: {status!r}")
+        self.p = p
+        self.status = status
+        self.defect_one = defect_one
+        self.external = external
 
 
-@dataclass(frozen=True)
 class Constituent:
     """One constituent of a restriction, with the data its indicator needs.
 
@@ -81,33 +80,42 @@ class Constituent:
     contribute trivially, so their class data may be omitted.
     """
 
-    indicator: str
-    degree: int
-    mult: int = 1
-    brauer_class: Optional[BrauerClassQ] = None
-    ortho_disc: Optional[Rational] = None
-    delta_class: Optional[BrauerClassQ] = None
-    hyperbolic: bool = False
+    __slots__ = ("indicator", "degree", "mult", "brauer_class", "ortho_disc",
+                 "delta_class", "hyperbolic")
 
-    def __post_init__(self):
-        if self.indicator not in ("+", "-", "o"):
-            raise ValueError(f"indicator must be '+', '-' or 'o', got {self.indicator!r}")
-        if self.degree <= 0 or self.mult <= 0:
+    def __init__(
+        self,
+        indicator: str,
+        degree: int,
+        mult: int = 1,
+        brauer_class: Optional[BrauerClassQ] = None,
+        ortho_disc: Optional[Rational] = None,
+        delta_class: Optional[BrauerClassQ] = None,
+        hyperbolic: bool = False,
+    ):
+        if indicator not in ("+", "-", "o"):
+            raise ValueError(f"indicator must be '+', '-' or 'o', got {indicator!r}")
+        if degree <= 0 or mult <= 0:
             raise ValueError("constituent degree and multiplicity must be positive")
+        self.indicator = indicator
+        self.degree = degree
+        self.mult = mult
+        self.brauer_class = brauer_class
+        self.ortho_disc = ortho_disc
+        self.delta_class = delta_class
+        self.hyperbolic = hyperbolic
 
 
-@dataclass(frozen=True)
 class RestrictionRelation:
     """chi restricted to a subgroup, decomposed into constituents."""
 
-    constituents: tuple
+    __slots__ = ("constituents",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "constituents", tuple(self.constituents))
+    def __init__(self, constituents):
+        self.constituents = tuple(constituents)
 
 
-@dataclass(frozen=True)
-class InductionRelation:
+class InductionRelation(NamedTuple):
     """chi induced from a character psi of known class, over an odd-degree
     relative field extension."""
 
@@ -116,8 +124,7 @@ class InductionRelation:
     field_degree_odd: bool
 
 
-@dataclass(frozen=True)
-class TensorRelation:
+class TensorRelation(NamedTuple):
     """chi = (character of known class) tensor (character of degree psi_degree),
     with the product unitary stable."""
 
@@ -125,89 +132,109 @@ class TensorRelation:
     psi_degree: int
 
 
-@dataclass(frozen=True)
 class Structural:
     """Group-theoretic shortcuts: a quaternion subgroup through the central
     involution, perfectness, the center order, and for the even-center rule
     the mod-4 dimension sums of the orthogonal constituents mod p."""
 
-    q8_subgroup: bool = False
-    perfect: bool = False
-    center_order: int = 1
-    orth_dim_sum_mod4: dict = dataclass_field(default_factory=dict)
-    faithful: bool = False
+    __slots__ = ("q8_subgroup", "perfect", "center_order", "orth_dim_sum_mod4",
+                 "faithful")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        q8_subgroup: bool = False,
+        perfect: bool = False,
+        center_order: int = 1,
+        orth_dim_sum_mod4: Optional[dict] = None,
+        faithful: bool = False,
+    ):
         sums = {}
-        for p, d in dict(self.orth_dim_sum_mod4).items():
+        for p, d in dict(orth_dim_sum_mod4 or {}).items():
             if not isinstance(p, int) or not is_prime(p):
                 raise ValueError(f"orthogonal dimension sums need prime keys, got {p!r}")
             if d % 2:
                 raise ValueError(f"orthogonal dimension sums must be even, got {d} at {p}")
             sums[p] = d % 4
-        object.__setattr__(self, "orth_dim_sum_mod4", sums)
+        self.q8_subgroup = q8_subgroup
+        self.perfect = perfect
+        self.center_order = center_order
+        self.orth_dim_sum_mod4 = sums
+        self.faithful = faithful
 
 
-@dataclass(frozen=True)
 class AlphaFacts:
     """Inputs for the fixed-algebra combination: the quaternion class of the
     induced character's envelope, the half-degree m, the discriminant of the
     involution on the alpha-fixed algebra, and the indicator of the extended
     character."""
 
-    q_class: BrauerClassQ
-    m: int
-    alpha_disc: Rational
-    indicator_ext: str
+    __slots__ = ("q_class", "m", "alpha_disc", "indicator_ext")
 
-    def __post_init__(self):
-        if self.indicator_ext not in ("+", "-"):
-            raise ValueError(f"extension indicator must be '+' or '-', got {self.indicator_ext!r}")
-        if not isinstance(self.m, int) or self.m <= 0:
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+    def __init__(self, q_class: BrauerClassQ, m: int, alpha_disc: Rational,
+                 indicator_ext: str):
+        if indicator_ext not in ("+", "-"):
+            raise ValueError(f"extension indicator must be '+' or '-', got {indicator_ext!r}")
+        if not isinstance(m, int) or m <= 0:
+            raise ValueError(f"m must be a positive integer, got {m!r}")
+        self.q_class = q_class
+        self.m = m
+        self.alpha_disc = alpha_disc
+        self.indicator_ext = indicator_ext
 
 
 Relation = Union[RestrictionRelation, InductionRelation, TensorRelation]
 
 
-@dataclass(frozen=True)
 class CharacterFactSheet:
     """Everything the engine may know about one even-degree character."""
 
-    id: str
-    degree: int
-    field: ImagQuadField
-    group_order_factors: dict
-    quasi_split: bool = True
-    split_schur_trivial: bool = True
-    mod_facts: tuple = ()
-    structural: Optional[Structural] = None
-    alpha_facts: Optional[AlphaFacts] = None
-    relations: tuple = ()
+    __slots__ = ("id", "degree", "field", "group_order_factors", "quasi_split",
+                 "split_schur_trivial", "mod_facts", "structural", "alpha_facts",
+                 "relations")
 
-    def __post_init__(self):
-        if not isinstance(self.degree, int) or self.degree <= 0 or self.degree % 2:
-            raise ValueError(f"degree must be an even positive integer, got {self.degree!r}")
+    def __init__(
+        self,
+        id: str,
+        degree: int,
+        field: ImagQuadField,
+        group_order_factors: dict,
+        quasi_split: bool = True,
+        split_schur_trivial: bool = True,
+        mod_facts: tuple = (),
+        structural: Optional[Structural] = None,
+        alpha_facts: Optional[AlphaFacts] = None,
+        relations: tuple = (),
+    ):
+        if not isinstance(degree, int) or degree <= 0 or degree % 2:
+            raise ValueError(f"degree must be an even positive integer, got {degree!r}")
         factors = {}
-        for p, e in dict(self.group_order_factors).items():
+        for p, e in dict(group_order_factors).items():
             if not isinstance(p, int) or not is_prime(p) or e <= 0:
                 raise ValueError(f"bad group order factor {p!r}^{e!r}")
             factors[p] = e
-        object.__setattr__(self, "group_order_factors", factors)
-        object.__setattr__(self, "mod_facts", tuple(self.mod_facts))
-        object.__setattr__(self, "relations", tuple(self.relations))
-        for f in self.mod_facts:
+        mod_facts = tuple(mod_facts)
+        for f in mod_facts:
             if f.p not in factors and not f.external:
                 raise ValueError(
                     f"mod fact prime {f.p} does not divide the group order"
                     " (flag it external if intended)"
                 )
             if f.status in (FactStatus.ORTH_SQUARE, FactStatus.ORTH_NONSQUARE):
-                if prime_behavior(self.field, f.p) != PrimeBehavior.RAMIFIED:
+                if prime_behavior(field, f.p) != PrimeBehavior.RAMIFIED:
                     raise ValueError(
                         f"orthogonal discriminant facts require a prime ramified"
-                        f" in {self.field}, got {f.p}"
+                        f" in {field}, got {f.p}"
                     )
+        self.id = id
+        self.degree = degree
+        self.field = field
+        self.group_order_factors = factors
+        self.quasi_split = quasi_split
+        self.split_schur_trivial = split_schur_trivial
+        self.mod_facts = mod_facts
+        self.structural = structural
+        self.alpha_facts = alpha_facts
+        self.relations = tuple(relations)
 
 
 class TraceLine(NamedTuple):
@@ -216,31 +243,27 @@ class TraceLine(NamedTuple):
     citation: str
 
 
-@dataclass(frozen=True)
-class Unique:
+class Unique(NamedTuple):
     """A fully determined class; disc is None when chi is not quasi-split."""
 
     brauer_class: BrauerClassQ
     disc: Optional[int]
 
 
-@dataclass(frozen=True)
-class Candidates:
+class Candidates(NamedTuple):
     """All parity-even completions of the unknowns, as (class, disc) pairs
     ordered by |disc| then sign."""
 
     items: tuple
 
 
-@dataclass(frozen=True)
-class UnderDetermined:
+class UnderDetermined(NamedTuple):
     """Too many free places to enumerate; lists them."""
 
     unknowns: tuple
 
 
-@dataclass(frozen=True)
-class DeductionReport:
+class DeductionReport(NamedTuple):
     sheet_id: str
     statuses: dict
     result: Union[Unique, Candidates, UnderDetermined]

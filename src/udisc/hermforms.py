@@ -14,11 +14,9 @@ the diagonal. det(H) is the product of that diagonal, so the discriminant
 and the transfer both read it; no second elimination computes det(H).
 """
 
-import dataclasses
 import enum
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
@@ -41,52 +39,48 @@ class SquareTest(enum.Enum):
     NONSQUARE = "Nonsquare"
 
 
-@dataclass(frozen=True)
 class HermitianGram:
     """Gram matrix of a nondegenerate Hermitian form."""
 
-    field: ImagQuadField
-    entries: tuple
-    # the pivots of the one elimination, which also checks nondegeneracy
-    diagonal: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    __slots__ = ("field", "entries", "diagonal")
 
-    def __post_init__(self):
-        n = len(self.entries)
+    def __init__(self, field: ImagQuadField, entries: tuple):
+        n = len(entries)
         if n < 1:
             raise ValueError("empty Gram matrix")
-        for row in self.entries:
+        for row in entries:
             if len(row) != n:
                 raise ValueError("Gram matrix must be square")
             for e in row:
-                if not isinstance(e, QuadElem) or e.field != self.field:
+                if not isinstance(e, QuadElem) or e.field != field:
                     raise ValueError("entries must be elements of the given field")
         for i in range(n):
             for j in range(n):
-                if self.entries[j][i] != self.entries[i][j].conj():
+                if entries[j][i] != entries[i][j].conj():
                     raise ValueError(
                         "not Hermitian: entry (%d,%d) is not the conjugate "
                         "of entry (%d,%d)" % (j, i, i, j)
                     )
-        object.__setattr__(
-            self, "diagonal", _congruence_diagonal(self.entries, self.field)
-        )
+        self.field = field
+        self.entries = entries
+        # the pivots of the one elimination, which also checks nondegeneracy
+        self.diagonal = _congruence_diagonal(entries, field)
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
 class DiagQuadFormQ:
     """Diagonal quadratic form over Q."""
 
-    coefficients: tuple
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        coeffs = tuple(_as_fraction(c) for c in self.coefficients)
+    def __init__(self, coefficients: tuple):
+        coeffs = tuple(_as_fraction(c) for c in coefficients)
         if not coeffs or any(c == 0 for c in coeffs):
             raise ValueError("coefficients must be nonzero")
-        object.__setattr__(self, "coefficients", coeffs)
+        self.coefficients = coeffs
 
     @property
     def dim(self) -> int:

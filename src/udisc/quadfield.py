@@ -6,7 +6,6 @@ primes, and membership in the norm group N(L*) <= Q*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -29,18 +28,28 @@ class PrimeBehavior(Enum):
     RAMIFIED = "ramified"
 
 
-@dataclass(frozen=True)
 class ImagQuadField:
-    """L = Q(sqrt(-delta0)) for squarefree delta0 > 0."""
+    """L = Q(sqrt(-delta0)) for squarefree delta0 > 0.
 
-    delta0: int
+    Equal and hashed by delta0, so fields serve as cache keys.
+    """
 
-    def __post_init__(self):
-        d = self.delta0
-        if not isinstance(d, int) or d <= 0:
-            raise ValueError(f"delta0 must be a positive integer, got {d!r}")
-        if any(e > 1 for _, e in factor(d)):
-            raise ValueError(f"delta0 must be squarefree, got {d}")
+    __slots__ = ("delta0",)
+
+    def __init__(self, delta0: int):
+        if not isinstance(delta0, int) or delta0 <= 0:
+            raise ValueError(f"delta0 must be a positive integer, got {delta0!r}")
+        if any(e > 1 for _, e in factor(delta0)):
+            raise ValueError(f"delta0 must be squarefree, got {delta0}")
+        self.delta0 = delta0
+
+    def __eq__(self, other):
+        if other.__class__ is not ImagQuadField:
+            return NotImplemented
+        return self.delta0 == other.delta0
+
+    def __hash__(self):
+        return hash((self.delta0,))
 
     @property
     def field_disc(self) -> int:
@@ -60,13 +69,24 @@ class ImagQuadField:
         return f"Q(sqrt(-{self.delta0}))"
 
 
-@dataclass(frozen=True)
 class QuadElem:
-    """x + y*sqrt(-delta0), with exact rational coordinates."""
+    """x + y*sqrt(-delta0), with exact rational coordinates; equal and
+    hashed by value."""
 
-    x: Fraction
-    y: Fraction
-    field: ImagQuadField
+    __slots__ = ("x", "y", "field")
+
+    def __init__(self, x: Fraction, y: Fraction, field: ImagQuadField):
+        self.x = x
+        self.y = y
+        self.field = field
+
+    def __eq__(self, other):
+        if other.__class__ is not QuadElem:
+            return NotImplemented
+        return (self.x, self.y, self.field) == (other.x, other.y, other.field)
+
+    def __hash__(self):
+        return hash((self.x, self.y, self.field))
 
     def conj(self) -> "QuadElem":
         return QuadElem(self.x, -self.y, self.field)

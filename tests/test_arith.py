@@ -177,6 +177,24 @@ class TestECM:
             " 2 ECM curves at B1 = 100")
         assert isinstance(info.value, ValueError)
 
+    def test_sign_shares_one_factorization(self, monkeypatch):
+        # n and -n share one cache entry, so ECM splits p*q once
+        monkeypatch.setattr(arith, "_RHO_BUDGET", 1 << 8)
+        calls = []
+
+        def counted(m, _real=arith._ecm):
+            calls.append(m)
+            return _real(m)
+
+        monkeypatch.setattr(arith, "_ecm", counted)
+        p, q = 300000000077, 700000000009
+        assert factor(p * q) == factor(-p * q) == ((p, 1), (q, 1))
+        assert calls == [p * q]
+
+    @pytest.mark.parametrize("b1", [1, 2, 10, 100, 11000])
+    def test_ladder_is_lcm(self, b1):
+        assert arith._ladder_bits(b1) == bin(math.lcm(*range(1, b1 + 1)))[2:]
+
 
 def test_cli_does_not_import_sympy():
     # import udisc.cli, then run `udisc corpus` through main, in a fresh

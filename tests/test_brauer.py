@@ -100,6 +100,18 @@ class TestConstruction:
         assert from_pair(a, b * c) == from_pair(a, b).mul(from_pair(a, c))
 
 
+class TestValueSemantics:
+    # classes are dict keys and compared throughout: equal and hashed by ram
+    def test_equal_and_hashed_by_ram(self):
+        c = BrauerClassQ(frozenset([INF, 3]))
+        d = from_pair(-1, -3)
+        assert c == d and c is not d and hash(c) == hash(d)
+        assert {c: "x"}[d] == "x"
+        assert c != BrauerClassQ(frozenset([INF, 2]))
+        assert c != c.ram and c != (c.ram,)
+        assert repr(BrauerClassQ(frozenset([2, 3]))) == "BrauerClassQ(ram=frozenset({2, 3}))"
+
+
 class TestGroupLaw:
     def test_pinned_values(self):
         c1 = BrauerClassQ(frozenset([INF, 2]))

@@ -4,11 +4,15 @@ Expected strings are frozen by hand from the published tables and from
 direct Hilbert-symbol computations; the CLI must reproduce them exactly.
 """
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import udisc
 from udisc import arith
 from udisc.cli import (
     FactFile,
@@ -921,6 +925,19 @@ class TestFactoringLimit:
 
 
 class TestReportSerialization:
+    @pytest.mark.parametrize("command, fid, kind", [
+        ("deduce", "o10p2_chi33", "unique"),
+        ("deduce", "on3_chi57_partial", "candidates"),
+        ("hform", "q10_unimod4", "unique"),
+        ("hform", "o10p2_chi33", "error"),
+    ])
+    def test_json_key_order(self, capsys, command, fid, kind):
+        _, out, _ = run(capsys, "--json", command, corpus_path(fid))
+        doc = json.loads(out)
+        assert doc["kind"] == kind
+        assert list(doc) == ["id", "kind", "disc", "ram", "items", "free",
+                             "trace", "error", "transfer"]
+
     def test_error_report_round_trip(self):
         rep = Report(id="x", kind="error", error="boom")
         again = report_from_json(json.loads(json.dumps(report_to_json(rep))))
@@ -940,3 +957,36 @@ class TestUsageErrors:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
+
+
+BASE_MODULES = ["udisc", "udisc.arith", "udisc.brauer", "udisc.cli",
+                "udisc.quadfield", "udisc.symbols"]
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["symbol", "-1", "-1"], []),
+    (["isnorm", "5", "1"], []),
+    (["deduce", corpus_path("o10p2_chi33")], ["udisc.deduce"]),
+    (["hform", corpus_path("q10_unimod4")], ["udisc.hermforms"]),
+    (["corpus"], ["udisc.deduce", "udisc.hermforms"]),
+], ids=["symbol", "isnorm", "deduce", "hform", "corpus"])
+def test_subcommand_loads_only_what_it_uses(argv, extra):
+    # one subcommand through main in a fresh interpreter, as `udisc` runs it
+    code = (
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "import udisc.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = udisc.cli.main(sys.argv[1:])\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'udisc')\n"
+        "added = sorted({'dataclasses'} & (set(sys.modules) - before))\n"
+        "print(json.dumps([rc, loaded, added]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(udisc.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, loaded, added = json.loads(proc.stdout)
+    assert rc == 0
+    assert loaded == sorted(BASE_MODULES + extra)
+    assert added == []

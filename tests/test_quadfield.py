@@ -122,6 +122,29 @@ class TestQuadElem:
         assert (e * f).norm() == e.norm() * f.norm()
 
 
+class TestValueSemantics:
+    # fields and elements are cache and dict keys: equal and hashed by value
+
+    def test_fields(self):
+        a, b = ImagQuadField(3), ImagQuadField(3)
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert {a: "x"}[b] == "x"
+        assert a != ImagQuadField(7)
+        assert a != 3 and a != (3,) and a != a.elem(3)
+        assert repr(a) == str(a) == "Q(sqrt(-3))"
+
+    def test_elements(self):
+        L = FIELDS[3]
+        e = QuadElem(Fraction(1, 2), Fraction(-3), L)
+        f = L.elem(Fraction(1, 2), -3)
+        assert e == f and e is not f and hash(e) == hash(f)
+        assert {e: "x"}[f] == "x"
+        assert e != L.elem(Fraction(1, 2), 3)
+        assert e != QuadElem(Fraction(1, 2), Fraction(-3), FIELDS[7])
+        assert e != (Fraction(1, 2), Fraction(-3), L)
+        assert repr(e) == "(1/2 + -3*sqrt(-3))"
+
+
 class TestPrimeBehavior:
     def test_pinned_values(self):
         assert prime_behavior(FIELDS[3], 7) == PrimeBehavior.SPLIT
