@@ -36,7 +36,7 @@ from .symbols import INF, hilbert, place_sort_key, relevant_places, render_place
 
 if TYPE_CHECKING:
     from .deduce import CharacterFactSheet, DeductionReport
-    from .hermforms import FormInvariants, HermitianGram
+    from .hermforms import HermitianGram
 
 
 class FactFileError(ValueError):
@@ -417,7 +417,7 @@ def load_fact_file(path) -> FactFile:
     path = Path(path)
     try:
         raw = path.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise FactFileError(str(e))
     try:
         doc = json.loads(raw, object_pairs_hook=_json_object)
@@ -426,6 +426,8 @@ def load_fact_file(path) -> FactFile:
     except ValueError as e:
         # an integer literal beyond the interpreter's 4300-digit limit
         _fail("fact file", e)
+    except RecursionError:
+        _fail("fact file", "nested too deeply")
     _as_obj(doc, "fact file", {"id", "note", "character", "gram", "relations",
                                "expected", "out_of_scope", "degree", "field"})
     fid = _as_str(doc.get("id", path.stem), "id")
@@ -492,40 +494,47 @@ def _within_budget(path, fn, arg):
         _fail(path, e)
 
 
-def deduce_report(path) -> Report:
+def _sheet_report(ff: FactFile) -> Report:
     from .deduce import resolve
 
-    ff = load_fact_file(path)
-    if ff.out_of_scope:
-        raise FactFileError("%s: out of scope: %s" % (ff.id, ff.note))
     if ff.sheet is None:
         raise FactFileError("character: missing (this file has no fact sheet)")
     return report_from_deduction(_within_budget("character", resolve, ff.sheet))
 
 
-def _transfer_summary(f: FormInvariants) -> dict:
-    inv = f.transfer
-    hasse = {str(v): inv.hasse[v]
-             for v in sorted(inv.hasse, key=place_sort_key)}
-    return {
-        "dim": inv.dim,
-        "disc": inv.disc,
-        "signature": [inv.signature[0], inv.signature[1]],
-        "hasse": hasse,
-        "definite": f.definite,
-        "clifford_ok": f.clifford == f.delta,
-    }
-
-
-def hform_report(path) -> Report:
+def _gram_report(ff: FactFile) -> Report:
     from .hermforms import form_invariants
 
-    ff = load_fact_file(path)
     if ff.gram is None:
         raise FactFileError("gram: missing (this file has no Gram block)")
     f = _within_budget("gram", form_invariants, ff.gram)
+    inv = f.transfer
+    transfer = {
+        "dim": inv.dim,
+        "disc": inv.disc,
+        "signature": [inv.signature[0], inv.signature[1]],
+        "hasse": {str(v): inv.hasse[v]
+                  for v in sorted(inv.hasse, key=place_sort_key)},
+        "definite": f.definite,
+        "clifford_ok": f.clifford == f.delta,
+    }
     return Report(id=ff.id, kind="unique", disc=f.disc,
-                  ram=_sorted_ram(f.delta), transfer=_transfer_summary(f))
+                  ram=_sorted_ram(f.delta), transfer=transfer)
+
+
+def _load_in_scope(path) -> FactFile:
+    ff = load_fact_file(path)
+    if ff.out_of_scope:
+        raise FactFileError("%s: out of scope: %s" % (ff.id, ff.note))
+    return ff
+
+
+def deduce_report(path) -> Report:
+    return _sheet_report(_load_in_scope(path))
+
+
+def hform_report(path) -> Report:
+    return _gram_report(_load_in_scope(path))
 
 
 def render_report_text(r: Report) -> str:
@@ -566,44 +575,23 @@ def render_report_text(r: Report) -> str:
     return "\n".join(lines)
 
 
-def _emit(args, report: Report) -> None:
-    if args.json:
-        print(json.dumps(report_to_json(report), indent=2))
-    else:
-        print(render_report_text(report))
-
-
-def _emit_error(args, fid: str, exc: Exception) -> int:
-    if args.json:
-        print(json.dumps(report_to_json(
-            Report(id=fid, kind="error", error=str(exc))), indent=2))
-    else:
-        print("error: %s" % exc, file=sys.stderr)
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_deduce(args) -> int:
-    fid = Path(args.file).stem
+def cmd_report(args) -> int:
+    # deduce or hform, whichever report the subcommand set
     try:
-        report = deduce_report(args.file)
+        report = args.report(args.file)
     except ValueError as e:
-        return _emit_error(args, fid, e)
-    _emit(args, report)
-    return 0 if report.kind == "unique" else 2
-
-
-def cmd_hform(args) -> int:
-    fid = Path(args.file).stem
-    try:
-        report = hform_report(args.file)
-    except ValueError as e:
-        return _emit_error(args, fid, e)
-    _emit(args, report)
-    return 0
+        report = Report(id=Path(args.file).stem, kind="error", error=str(e))
+    if args.json:
+        print(json.dumps(report_to_json(report), indent=2))
+    elif report.kind == "error":
+        print("error: %s" % report.error, file=sys.stderr)
+    else:
+        print(render_report_text(report))
+    return {"unique": 0, "error": 1}.get(report.kind, 2)
 
 
 def _parse_place(s: str):
@@ -623,6 +611,12 @@ def _parse_rational(s: str) -> Fraction:
         a = Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise ValueError("malformed rational %r" % s)
+    try:
+        # str() refuses integers over the interpreter's digit limit, which
+        # the fact-file loader also rejects
+        str(a)
+    except ValueError as e:
+        raise ValueError("rational %r: %s" % (s, e))
     if a == 0:
         raise ValueError("argument must be nonzero")
     return a
@@ -663,31 +657,18 @@ def cmd_isnorm(args) -> int:
 
 def _check_corpus_row(ff: FactFile):
     # returns (ok, detail) for one fact file with an expected block
-    from .deduce import resolve
-    from .hermforms import form_invariants
-
     exp = ff.expected
     if ff.gram is not None:
         if exp["kind"] != "hform":
             return False, "expected kind %r does not fit a gram row" % exp["kind"]
-        f = _within_budget("gram", form_invariants, ff.gram)
-        got_disc, got_ram = f.disc, _sorted_ram(f.delta)
-        if f.clifford != f.delta:
+        report = _gram_report(ff)
+        if not report.transfer["clifford_ok"]:
             return False, "clifford invariant mismatch"
-        if got_disc == exp["disc"] and got_ram == exp["ram"]:
-            return True, "disc %d %s" % (got_disc, render_places(got_ram))
-        return False, ("expected disc %d %s, got disc %d %s"
-                       % (exp["disc"], render_places(exp["ram"]),
-                          got_disc, render_places(got_ram)))
-    report = report_from_deduction(_within_budget("character", resolve, ff.sheet))
-    if exp["kind"] == "unique":
-        if report.kind != "unique":
-            return False, "expected unique, got %s" % report.kind
-        if report.disc == exp["disc"] and report.ram == exp["ram"]:
-            return True, "disc %d %s" % (report.disc, render_places(report.ram))
-        return False, ("expected disc %d %s, got disc %s %s"
-                       % (exp["disc"], render_places(exp["ram"]),
-                          report.disc, render_places(report.ram)))
+    else:
+        report = _sheet_report(ff)
+        if exp["kind"] not in ("unique", "candidates"):
+            return False, ("expected kind %r does not fit a character row"
+                           % exp["kind"])
     if exp["kind"] == "candidates":
         if report.kind != "candidates":
             return False, "expected candidates, got %s" % report.kind
@@ -697,7 +678,13 @@ def _check_corpus_row(ff: FactFile):
         return False, ("expected candidates {%s}, got {%s}"
                        % (", ".join(str(d) for d in exp["discs"]),
                           ", ".join(str(d) for d in got)))
-    return False, "expected kind %r does not fit a character row" % exp["kind"]
+    if report.kind != "unique":
+        return False, "expected unique, got %s" % report.kind
+    if report.disc == exp["disc"] and report.ram == exp["ram"]:
+        return True, "disc %d %s" % (report.disc, render_places(report.ram))
+    return False, ("expected disc %d %s, got disc %s %s"
+                   % (exp["disc"], render_places(exp["ram"]),
+                      report.disc, render_places(report.ram)))
 
 
 def cmd_corpus(args) -> int:
@@ -767,11 +754,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("deduce", help="run the deduction engine on a fact file")
     d.add_argument("file")
-    d.set_defaults(func=cmd_deduce)
+    d.set_defaults(func=cmd_report, report=deduce_report)
 
     h = sub.add_parser("hform", help="invariants of a Gram matrix fact file")
     h.add_argument("file")
-    h.set_defaults(func=cmd_hform)
+    h.set_defaults(func=cmd_report, report=hform_report)
 
     s = sub.add_parser("symbol", help="Hilbert symbols (a,b)_v")
     s.add_argument("a")
@@ -787,23 +774,20 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("corpus", help="re-check a directory of fact files")
     c.add_argument("dir", nargs="?")
     c.set_defaults(func=cmd_corpus)
-
-    for cmd in (d, h, s, n, c):
-        cmd.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                         help=argparse.SUPPRESS)
     return p
 
 
 def _rearrange(argv: list) -> list:
-    # symbol/isnorm take negative numbers; shield them from option parsing
+    # --json may follow the subcommand, so move it in front; symbol and
+    # isnorm take negative numbers, so shield those from option parsing
     for i, tok in enumerate(argv):
-        if tok in ("deduce", "hform", "corpus"):
-            return argv
-        if tok in ("symbol", "isnorm"):
+        if tok in ("deduce", "hform", "corpus", "symbol", "isnorm"):
             tail = argv[i + 1:]
             hoisted = ["--json"] if "--json" in tail else []
-            rest = [t for t in tail if t not in ("--json", "--")]
-            return argv[:i] + hoisted + [tok, "--"] + rest
+            rest = [t for t in tail if t != "--json"]
+            if tok in ("symbol", "isnorm"):
+                rest = ["--"] + [t for t in rest if t != "--"]
+            return argv[:i] + hoisted + [tok] + rest
     return argv
 
 

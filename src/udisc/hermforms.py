@@ -264,11 +264,9 @@ def form_invariants(h: HermitianGram) -> FormInvariants:
     dlt = delta(h)
     q = transfer_quadratic(h)
     inv = quad_invariants(q)
-    # h is positive definite iff its transfer is: q has coefficients a_i and
-    # delta0 a_i for a diagonalization (a_i) of h
-    definite = inv.signature[1] == 0
     return FormInvariants(
-        dlt, l_disc(dlt, h.field), definite, inv, clifford_invariant(q, inv)
+        dlt, l_disc(dlt, h.field), is_positive_definite(h), inv,
+        clifford_invariant(q, inv)
     )
 
 

@@ -168,6 +168,15 @@ class TestSymbolCommand:
         assert rc == 0
         assert json.loads(out)["values"] == {"inf": -1, "2": -1}
 
+    # 10^5000 and 10^-5000 have more digits than str() will print
+    @pytest.mark.parametrize("command", ["symbol", "isnorm"])
+    @pytest.mark.parametrize("a", ["1e5000", "-1e-5000"])
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_rational_over_digit_limit_rejected(self, capsys, command, a, mode):
+        rc, out, err = run(capsys, *mode, command, a, "3")
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: rational %r: Exceeds the limit" % a)
+
 
 class TestIsnormCommand:
     def test_seven_is_a_norm_for_delta0_three(self, capsys):
@@ -326,6 +335,17 @@ class TestHformCommand:
         rc, _, err = run(capsys, "hform", path)
         assert rc == 1
         assert "gram" in err
+
+    def test_out_of_scope_file_is_an_error(self, capsys):
+        rc, out, err = run(capsys, "hform", corpus_path("on3_chi31"))
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: on3_chi31: out of scope: character field")
+
+    def test_json_flag_after_subcommand(self, capsys):
+        path = corpus_path("q10_i2")
+        rc, out, _ = run(capsys, "hform", path, "--json")
+        assert rc == 0
+        assert json.loads(out) == report_to_json(hform_report(path))
 
     def test_json_output(self, capsys, tmp_path):
         path = write_json(tmp_path, "i2.json", GRAM_I2)
@@ -651,6 +671,14 @@ class TestCorpusCommand:
         with pytest.raises(TypeError, match="bug in the checker"):
             main(["corpus"])
 
+    def test_row_without_a_block_fails(self, capsys, tmp_path):
+        write_json(tmp_path, "bare.json", {
+            "id": "bare", "expected": {"kind": "unique", "disc": 1, "ram": []}})
+        rc, out, _ = run(capsys, "corpus", str(tmp_path))
+        assert rc == 3
+        assert out.splitlines()[0].split(None, 2) == [
+            "FAIL", "bare", "error: character: missing (this file has no fact sheet)"]
+
     def test_row_without_expected_fails(self, capsys, tmp_path):
         write_json(tmp_path, "bare.json", SHEET_CHI33)
         rc, out, _ = run(capsys, "corpus", str(tmp_path))
@@ -672,6 +700,11 @@ class TestCorpusCommand:
         assert data["failures"] == 0
         ids = [row["id"] for row in data["rows"]]
         assert ids == sorted(ids)
+
+    def test_json_flag_after_subcommand(self, capsys):
+        _, before, _ = run(capsys, "--json", "corpus")
+        rc, after, _ = run(capsys, "corpus", "--json")
+        assert (rc, after) == (0, before)
 
 
 class TestLoader:

@@ -1,0 +1,69 @@
+"""The README's command-line examples run as shown.
+
+Every `udisc ...` line in a README code block goes through `main` from
+the repository root, and the shown `deduce` transcript must match the
+real output. Every key the bundled fact files use is named in the
+README's "Fact files" section.
+"""
+import json
+import shlex
+from pathlib import Path
+
+import pytest
+
+from udisc.cli import corpus_dir, main
+
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
+BLOCKS = README.split("```")[1::2]
+EXAMPLES = [line.split("#")[0].split()[1:]
+            for block in BLOCKS for line in block.splitlines()
+            if line.startswith("udisc ")]
+TRANSCRIPTS = [block.strip().splitlines() for block in BLOCKS
+               if block.strip().startswith("$ udisc ")]
+
+
+def test_examples_are_found():
+    assert [argv[0] for argv in EXAMPLES] == [
+        "symbol", "symbol", "isnorm", "hform", "deduce", "corpus"]
+    assert len(TRANSCRIPTS) == 1
+
+
+@pytest.mark.parametrize("argv", EXAMPLES, ids=" ".join)
+def test_example_answers(argv, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("lines", TRANSCRIPTS, ids=lambda t: t[0])
+def test_transcript_matches(lines, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main(shlex.split(lines[0])[2:]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert (out[0], out[-1]) == (lines[1], lines[-1])
+    # "..." stands for the rest of a line, or alone for whole lines
+    for line in lines[1:]:
+        if line.endswith("..."):
+            assert any(o.startswith(line[:-3]) for o in out), line
+        else:
+            assert line in out, line
+
+
+def _keys(node):
+    if isinstance(node, dict):
+        for k, v in node.items():
+            if not k.isdigit():
+                yield k
+            yield from _keys(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _keys(v)
+
+
+def test_fact_file_keys_are_documented():
+    section = README.split("### Fact files")[1].split("\n## ")[0]
+    used = set()
+    for f in corpus_dir().glob("*.json"):
+        used.update(_keys(json.loads(f.read_text())))
+    assert sorted(k for k in used if "`%s`" % k not in section) == []
