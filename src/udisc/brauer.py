@@ -12,8 +12,9 @@ minimal in absolute value and positive on ties.
 
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 
-from .arith import prime_factors, primes_up_to
+from .arith import is_prime, prime_factors, primes_up_to
 from .quadfield import ImagQuadField, PrimeBehavior, norm_class, prime_behavior
 from .symbols import (
     INF,
@@ -30,11 +31,12 @@ class BrauerClassQ:
 
     __slots__ = ("ram",)
 
-    def __init__(self, ram: frozenset):
+    def __init__(self, ram):
+        ram = frozenset(ram)
         if len(ram) % 2 != 0:
             raise ValueError(f"ramification set must have even size: {set(ram)}")
         for v in ram:
-            if v != INF and (not isinstance(v, int) or v < 2):
+            if v != INF and (not isinstance(v, int) or not is_prime(v)):
                 raise ValueError(f"not a place of Q: {v!r}")
         self.ram = ram
 
@@ -199,20 +201,19 @@ def pair_presentation(c: BrauerClassQ) -> tuple | None:
     Candidates are signed squarefree products of 2 and the odd ramified
     primes of c, ordered to prefer small and positive entries. Some classes
     (e.g. {inf, p} with p = 1 mod 8) need an entry outside that pool, so
-    failing rounds retry with one auxiliary small prime added.
+    failing rounds retry with one auxiliary small prime added. Each
+    candidate keeps the primes it is made of, so the class of (a,b) is read
+    at inf, 2 and those primes without factoring a or b.
     """
     base = [2] + sorted(v for v in c.ram if v != INF and v != 2)
     aux_choices = [None] + [q for q in primes_up_to(99) if q not in base]
     for aux in aux_choices:
         primes = sorted(base + [aux]) if aux else base
-        pool = set()
+        pool = {}
         for r in range(len(primes) + 1):
             for combo in combinations(primes, r):
-                t = 1
-                for p in combo:
-                    t *= p
-                pool.add(t)
-                pool.add(-t)
+                t = prod(combo)
+                pool[t] = pool[-t] = combo
         cands = sorted(pool, key=lambda t: (abs(t), t < 0))
 
         def pair_key(ab):
@@ -221,6 +222,7 @@ def pair_presentation(c: BrauerClassQ) -> tuple | None:
 
         pairs = [(a, b) for a in cands for b in cands if abs(a) <= abs(b)]
         for a, b in sorted(pairs, key=pair_key):
-            if from_pair(a, b) == c:
+            places = {INF, 2, *pool[a], *pool[b]}
+            if {v for v in places if hilbert(a, b, v) == -1} == c.ram:
                 return (a, b)
     return None

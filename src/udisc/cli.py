@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -539,9 +540,7 @@ def hform_report(path) -> Report:
 
 def render_report_text(r: Report) -> str:
     lines = []
-    if r.kind == "error":
-        lines.append("error: %s" % r.error)
-    elif r.transfer is not None:
+    if r.transfer is not None:
         t = r.transfer
         lines.append("disc=%d %s clifford=%s"
                      % (r.disc, render_places(r.ram),
@@ -581,17 +580,12 @@ def render_report_text(r: Report) -> str:
 
 def cmd_report(args) -> int:
     # deduce or hform, whichever report the subcommand set
-    try:
-        report = args.report(args.file)
-    except ValueError as e:
-        report = Report(id=Path(args.file).stem, kind="error", error=str(e))
+    report = args.report(args.file)
     if args.json:
         print(json.dumps(report_to_json(report), indent=2))
-    elif report.kind == "error":
-        print("error: %s" % report.error, file=sys.stderr)
     else:
         print(render_report_text(report))
-    return {"unique": 0, "error": 1}.get(report.kind, 2)
+    return 0 if report.kind == "unique" else 2
 
 
 def _parse_place(s: str):
@@ -606,15 +600,22 @@ def _parse_place(s: str):
     return p
 
 
+# a decimal exponent, which Fraction turns into 10**exponent before any check
+_EXPONENT = re.compile(r"\s*[-+]?[\d_.]+e([-+]?[\d_]+)\s*", re.I)
+
+
 def _parse_rational(s: str) -> Fraction:
+    exp = _EXPONENT.fullmatch(s)
+    limit = sys.get_int_max_str_digits()
     try:
-        a = Fraction(s)
+        big = exp and limit and abs(int(exp[1])) > limit
+        a = None if big else Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise ValueError("malformed rational %r" % s)
     try:
         # str() refuses integers over the interpreter's digit limit, which
-        # the fact-file loader also rejects
-        str(a)
+        # the fact-file loader also rejects; 10**limit is one digit over
+        str(10 ** limit if big else a)
     except ValueError as e:
         raise ValueError("rational %r: %s" % (s, e))
     if a == 0:
@@ -623,14 +624,10 @@ def _parse_rational(s: str) -> Fraction:
 
 
 def cmd_symbol(args) -> int:
-    try:
-        a = _parse_rational(args.a)
-        b = _parse_rational(args.b)
-        places = (relevant_places(a, b) if args.place is None
-                  else [_parse_place(args.place)])
-    except ValueError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
+    a = _parse_rational(args.a)
+    b = _parse_rational(args.b)
+    places = (relevant_places(a, b) if args.place is None
+              else [_parse_place(args.place)])
     values = {v: hilbert(a, b, v) for v in places}
     if args.json:
         print(json.dumps({"a": str(a), "b": str(b),
@@ -641,13 +638,9 @@ def cmd_symbol(args) -> int:
 
 
 def cmd_isnorm(args) -> int:
-    try:
-        a = _parse_rational(args.a)
-        L = ImagQuadField(int(args.delta0))
-        ans = is_norm(a, L)
-    except ValueError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
+    a = _parse_rational(args.a)
+    L = ImagQuadField(int(args.delta0))
+    ans = is_norm(a, L)
     if args.json:
         print(json.dumps({"a": str(a), "delta0": L.delta0, "is_norm": ans}))
     else:
@@ -690,8 +683,7 @@ def _check_corpus_row(ff: FactFile):
 def cmd_corpus(args) -> int:
     directory = Path(args.dir) if args.dir else corpus_dir()
     if not directory.is_dir():
-        print("error: %s is not a directory" % directory, file=sys.stderr)
-        return 1
+        raise ValueError("%s is not a directory" % directory)
     rows = []
     sheets = grams = skipped = failures = 0
     for f in sorted(directory.glob("*.json")):
@@ -800,7 +792,15 @@ def main(argv=None) -> int:
         if e.code == 0:
             raise
         return 1
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as e:
+        if args.json and args.func is cmd_report:
+            report = Report(id=Path(args.file).stem, kind="error", error=str(e))
+            print(json.dumps(report_to_json(report), indent=2))
+        else:
+            print("error: %s" % e, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -22,11 +22,11 @@ from enum import Enum
 from typing import NamedTuple, Optional, Union
 
 from .arith import is_prime
-from .brauer import BrauerClassQ, from_pair, l_disc
+from .brauer import BrauerClassQ, from_pair, l_disc, splits_in
 from .quadfield import ImagQuadField, PrimeBehavior, prime_behavior
 from .symbols import INF, Place, Rational, legendre, place_sort_key
 
-# more unknowns would need > 2^8 parity-even completions
+# more free places would need > 2^8 parity-even completions
 _MAX_FREE_PLACES = 9
 
 
@@ -451,8 +451,7 @@ def _apply_relations(sheet: CharacterFactSheet, asg: _Assignment):
             raise DeduceError(f"unknown relation record: {rel!r}")
     if sheet.alpha_facts is not None:
         a = sheet.alpha_facts
-        rep = alpha_combine(a.q_class, a.m, a.alpha_disc, a.indicator_ext, sheet.field)
-        cls = from_pair(sheet.field.field_disc, rep)
+        cls = alpha_class(a.q_class, a.m, a.alpha_disc, a.indicator_ext, sheet.field)
         asg.assign_class(cls, "alpha fixed algebra", _CIT_ALPHA)
 
 
@@ -460,10 +459,10 @@ def resolve(sheet: CharacterFactSheet) -> DeductionReport:
     """Run the full pipeline on one sheet.
 
     Local rules first, then globally combined classes, then parity closure.
-    Zero unknowns yield a Unique result (with the minimal squarefree
-    discriminant representative when chi is quasi-split). Up to
-    _MAX_FREE_PLACES unknowns yield the enumerated Candidates; more yield
-    UnderDetermined.
+    Up to _MAX_FREE_PLACES free places (unknowns that do not split in L)
+    are enumerated into parity-even classes, with the minimal squarefree
+    discriminant when chi is quasi-split: Unique when no place is unknown,
+    else Candidates. More free places yield UnderDetermined.
     """
     L = sheet.field
     asg = _local_assignment(sheet)
@@ -485,24 +484,18 @@ def resolve(sheet: CharacterFactSheet) -> DeductionReport:
     unknowns = sorted(
         (v for v, s in statuses.items() if s is PlaceStatus.UNKNOWN), key=place_sort_key
     )
-    if not unknowns:
-        ram = frozenset(v for v, s in statuses.items() if s is PlaceStatus.RAMIFIED)
-        cls = BrauerClassQ(ram)
-        disc = l_disc(cls, L) if sheet.quasi_split else None
-        result = Unique(cls, disc)
-    elif len(unknowns) > _MAX_FREE_PLACES:
-        result = UnderDetermined(tuple(unknowns))
+    # a split place never ramifies in a class that L splits
+    free = [v for v in unknowns if v not in split]
+    if len(free) > _MAX_FREE_PLACES:
+        result = UnderDetermined(tuple(free))
     else:
-        # a split place never ramifies in a class that L splits
         base = {v for v, s in statuses.items() if s is PlaceStatus.RAMIFIED}
-        free = [v for v in unknowns if v not in split]
         items = []
         for mask in range(1 << len(free)):
             ram = base | {free[i] for i in range(len(free)) if mask >> i & 1}
-            if len(ram) % 2:
-                continue
-            cls = BrauerClassQ(frozenset(ram))
-            items.append((cls, l_disc(cls, L)))
+            if len(ram) % 2 == 0:
+                cls = BrauerClassQ(ram)
+                items.append((cls, l_disc(cls, L)))
         if not items:
             names = ", ".join(str(v) for v in unknowns)
             raise DeduceError(
@@ -513,7 +506,7 @@ def resolve(sheet: CharacterFactSheet) -> DeductionReport:
         items.sort(key=lambda item: (abs(item[1]), item[1] < 0))
         if not sheet.quasi_split:
             items = [(cls, None) for cls, _ in items]
-        result = Candidates(tuple(items))
+        result = Candidates(tuple(items)) if unknowns else Unique(*items[0])
 
     return DeductionReport(sheet.id, dict(statuses), result, tuple(asg.trace))
 
@@ -570,23 +563,28 @@ def combine_tensor(delta_chi: BrauerClassQ, psi_degree: int) -> BrauerClassQ:
     return delta_chi.pow(psi_degree)
 
 
-def alpha_combine(
-    q_class: BrauerClassQ,
-    m: int,
-    alpha_disc: Rational,
-    indicator_ext: str,
-    L: ImagQuadField,
-) -> int:
+def alpha_class(q_class: BrauerClassQ, m: int, alpha_disc: Rational,
+                indicator_ext: str, L: ImagQuadField) -> BrauerClassQ:
+    """Class of chi from an alpha-fixed Hermitian space: q_class^m times the
+    class of (L, alpha_disc) for an orthogonal extension, and q_class^m
+    alone for a symplectic one. The class of (L, ldisc(q)) is q, so this is
+    the class of the discriminant alpha_combine returns."""
+    if indicator_ext not in ("+", "-"):
+        raise ValueError(f"extension indicator must be '+' or '-', got {indicator_ext!r}")
+    if not splits_in(q_class, L):
+        raise ValueError("L is not a splitting field")
+    cls = q_class.pow(m)
+    if indicator_ext == "-":
+        return cls
+    return cls.mul(from_pair(L.field_disc, alpha_disc))
+
+
+def alpha_combine(q_class: BrauerClassQ, m: int, alpha_disc: Rational,
+                  indicator_ext: str, L: ImagQuadField) -> int:
     """Discriminant representative from an alpha-fixed Hermitian space:
     ldisc(q_class)^m times alpha_disc for an orthogonal extension, and
     ldisc(q_class)^m alone for a symplectic one."""
-    if indicator_ext not in ("+", "-"):
-        raise ValueError(f"extension indicator must be '+' or '-', got {indicator_ext!r}")
-    base = l_disc(q_class, L)
-    t = base if m % 2 else 1
-    if indicator_ext == "-":
-        return t
-    return l_disc(from_pair(L.field_disc, t * alpha_disc), L)
+    return l_disc(alpha_class(q_class, m, alpha_disc, indicator_ext, L), L)
 
 
 def q8_class(degree: int, L: ImagQuadField) -> BrauerClassQ:

@@ -37,7 +37,7 @@ class ImagQuadField:
     __slots__ = ("delta0",)
 
     def __init__(self, delta0: int):
-        if not isinstance(delta0, int) or delta0 <= 0:
+        if not isinstance(delta0, int) or isinstance(delta0, bool) or delta0 <= 0:
             raise ValueError(f"delta0 must be a positive integer, got {delta0!r}")
         if any(e > 1 for _, e in factor(delta0)):
             raise ValueError(f"delta0 must be squarefree, got {delta0}")

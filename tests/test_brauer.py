@@ -69,6 +69,30 @@ def s_span_l_disc(c, L):
     return best
 
 
+def search_by_factoring(c):
+    """The pair search as this package ran it before its candidates kept
+    their primes: the same pool, order and auxiliary-prime retry, with each
+    pair's class found by from_pair."""
+    base = [2] + sorted(v for v in c.ram if v != INF and v != 2)
+    for aux in [None] + [q for q in primes_up_to(99) if q not in base]:
+        primes = sorted(base + [aux]) if aux else base
+        pool = set()
+        for r in range(len(primes) + 1):
+            for combo in combinations(primes, r):
+                t = 1
+                for p in combo:
+                    t *= p
+                pool |= {t, -t}
+        cands = sorted(pool, key=lambda t: (abs(t), t < 0))
+        pairs = [(a, b) for a in cands for b in cands if abs(a) <= abs(b)]
+        pairs.sort(key=lambda ab: (max(abs(ab[0]), abs(ab[1])), abs(ab[0]) + abs(ab[1]),
+                                   (ab[0] < 0) + (ab[1] < 0), ab[0], ab[1]))
+        for a, b in pairs:
+            if from_pair(a, b) == c:
+                return (a, b)
+    return None
+
+
 def smallest_by_scan(L, bound):
     """{norm class: smallest t by (|t|, t < 0)} over 0 < |t| <= bound."""
     first = {}
@@ -87,6 +111,11 @@ class TestConstruction:
     def test_even_enforced(self):
         with pytest.raises(ValueError):
             BrauerClassQ(frozenset([3]))
+
+    @pytest.mark.parametrize("ram", [{4, INF}, {1, 3}, {True, 3}, {3.0, 5}, {"2", 3}])
+    def test_finite_places_must_be_primes(self, ram):
+        with pytest.raises(ValueError, match="not a place of Q"):
+            BrauerClassQ(ram)
 
     @settings(max_examples=300)
     @given(nonzero, nonzero)
@@ -110,6 +139,14 @@ class TestValueSemantics:
         assert c != BrauerClassQ(frozenset([INF, 2]))
         assert c != c.ram and c != (c.ram,)
         assert repr(BrauerClassQ(frozenset([2, 3]))) == "BrauerClassQ(ram=frozenset({2, 3}))"
+
+    def test_stores_a_frozen_copy(self):
+        ram = {3, 5}
+        c = BrauerClassQ(ram)
+        ram.add(7)
+        assert type(c.ram) is frozenset and c.ram == {3, 5}
+        assert hash(c) == hash(BrauerClassQ(frozenset([3, 5])))
+        assert BrauerClassQ([INF, 2]) == from_pair(-1, -1)
 
 
 class TestGroupLaw:
@@ -239,6 +276,26 @@ class TestRendering:
         assert pair_presentation(BrauerClassQ(frozenset([INF, 2]))) == (-1, -1)
         assert pair_presentation(BrauerClassQ(frozenset([INF, 5]))) == (-2, -5)
         assert pair_presentation(BrauerClassQ(frozenset())) == (1, 1)
+
+    def test_matches_the_search_by_factoring(self):
+        # the search reads each pair's class at inf, 2 and the primes it
+        # was built from; from_pair factors a and b to find the same places
+        places = [INF, 2, 3, 5, 7, 11, 13]
+        for r in (0, 2, 4):
+            for ram in combinations(places, r):
+                c = BrauerClassQ(ram)
+                assert pair_presentation(c) == search_by_factoring(c), c
+
+    def test_large_primes_need_no_factoring(self, monkeypatch):
+        # 26-digit primes, 2 mod 3; their product is beyond the factoring budget
+        p, q = 25080330703369597437700091, 78801772797767169992055857
+
+        def refuse(*args):
+            raise AssertionError("pair_presentation factored a number")
+
+        monkeypatch.setattr("udisc.brauer.from_pair", refuse)
+        monkeypatch.setattr("udisc.symbols.prime_factors", refuse)
+        assert pair_presentation(BrauerClassQ([p, q])) == (3 * p, -q)
 
     @given(
         st.integers(-60, 60).filter(lambda t: t != 0),

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -176,6 +177,21 @@ class TestSymbolCommand:
         rc, out, err = run(capsys, *mode, command, a, "3")
         assert (rc, out) == (1, "")
         assert err.startswith("error: rational %r: Exceeds the limit" % a)
+
+
+    # Fraction would compute 10**exponent before any digit check
+    @pytest.mark.parametrize("command", ["symbol", "isnorm"])
+    @pytest.mark.parametrize("a", ["1e1000000000", "-1e-1000000000", "1E+4301"])
+    def test_exponent_over_digit_limit_rejected_at_once(self, capsys, command, a):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, command, a, "3")
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: rational %r: Exceeds the limit" % a)
+
+    def test_exponent_within_digit_limit_is_read(self, capsys):
+        rc, out, _ = run(capsys, "symbol", "1e4299", "3")
+        assert (rc, out) == run(capsys, "symbol", "10", "3")[:2]
 
 
 class TestIsnormCommand:
@@ -1023,3 +1039,72 @@ def test_subcommand_loads_only_what_it_uses(argv, extra):
     assert rc == 0
     assert loaded == sorted(BASE_MODULES + extra)
     assert added == []
+
+
+# two 26-digit primes, both 2 mod 3 and so inert in Q(sqrt(-3)); their
+# product is beyond the factoring budget
+BIG_P = 25080330703369597437700091
+BIG_Q = 78801772797767169992055857
+
+
+def _big_prime_sheet(**extra):
+    return {"id": "big", "character": dict(
+        degree=4, delta0=3,
+        group_order_factors={"2": 1, "3": 1, str(BIG_P): 1, str(BIG_Q): 1},
+        **extra)}
+
+
+class TestBigPrimeClasses:
+    """Classes ramified at two large primes are never rebuilt by factoring."""
+
+    def answer(self, capsys, tmp_path, payload, *mode):
+        path = write_json(tmp_path, "big.json", payload)
+        start = time.perf_counter()
+        rc, out, err = run(capsys, *mode, "deduce", path)
+        assert time.perf_counter() - start < 1.0
+        assert (rc, err) == (0, "")
+        return out
+
+    def test_defect_one_sheet_answers_with_its_pair(self, capsys, tmp_path):
+        payload = _big_prime_sheet(mod_facts=[
+            {"p": 2, "status": "Irreducible"},
+            {"p": 3, "status": "OrthSquare"},
+            {"p": BIG_P, "status": "NotUnitaryStable", "defect_one": True},
+            {"p": BIG_Q, "status": "NotUnitaryStable", "defect_one": True},
+        ])
+        out = self.answer(capsys, tmp_path, payload)
+        assert out.splitlines()[0] == (
+            "disc = %d, Delta = (%d,%d)_Q, ram{%d,%d}"
+            % (BIG_P * BIG_Q, 3 * BIG_P, -BIG_Q, BIG_P, BIG_Q))
+        data = json.loads(self.answer(capsys, tmp_path, payload, "--json"))
+        assert (data["kind"], data["disc"], data["ram"]) == (
+            "unique", BIG_P * BIG_Q, [BIG_P, BIG_Q])
+
+    @pytest.mark.parametrize("indicator, disc, ram", [
+        ("+", 5 * BIG_P * BIG_Q, [3, 5, BIG_P, BIG_Q]),
+        ("-", BIG_P * BIG_Q, [BIG_P, BIG_Q]),
+    ])
+    def test_alpha_sheet_answers(self, capsys, tmp_path, indicator, disc, ram):
+        payload = _big_prime_sheet(alpha_facts={
+            "q_class": [BIG_P, BIG_Q], "m": 1, "alpha_disc": 5,
+            "indicator_ext": indicator})
+        payload["character"]["group_order_factors"]["5"] = 1
+        out = self.answer(capsys, tmp_path, payload)
+        assert out.startswith("disc = %d, Delta = (" % disc)
+        assert out.splitlines()[0].endswith(
+            "ram{%s}" % ",".join(str(v) for v in ram))
+        data = json.loads(self.answer(capsys, tmp_path, payload, "--json"))
+        assert (data["kind"], data["disc"], data["ram"]) == ("unique", disc, ram)
+
+
+def test_split_unknowns_are_not_free_places(capsys, tmp_path):
+    # Q(i): 5, 13 and 17 split, so only the eight other unknowns are free
+    primes = (2, 3, 7, 11, 19, 23, 31, 43, 5, 13, 17)
+    path = write_json(tmp_path, "wide.json", {"id": "wide", "character": {
+        "degree": 4, "delta0": 1, "split_schur_trivial": False,
+        "group_order_factors": {str(p): 1 for p in primes}}})
+    rc, out, _ = run(capsys, "--json", "deduce", path)
+    data = json.loads(out)
+    assert (rc, data["kind"], len(data["items"])) == (2, "candidates", 128)
+    assert {v for it in data["items"] for v in it["ram"]} == {
+        2, 3, 7, 11, 19, 23, 31, 43}

@@ -26,6 +26,7 @@ from udisc.deduce import (
     TensorRelation,
     UnderDetermined,
     Unique,
+    alpha_class,
     alpha_combine,
     apply_local_rules,
     candidate_places,
@@ -663,6 +664,18 @@ class TestResolveCandidates:
         assert [d for _, d in report.result.items] == [-1]
         assert report.result.items[0][0] == cls(INF, 3)
 
+    def test_split_unknowns_are_not_counted_as_free(self):
+        # over Q(i) the unknowns 5, 13 and 17 split; the other eight are
+        # free, within the enumeration cutoff
+        order = {p: 1 for p in (2, 3, 7, 11, 19, 23, 31, 43, 5, 13, 17)}
+        s = CharacterFactSheet(id="x", degree=4, field=Q1, group_order_factors=order,
+                               split_schur_trivial=False)
+        report = resolve(s)
+        assert isinstance(report.result, Candidates)
+        assert len(report.result.items) == 128
+        ramified = set().union(*(c.ram for c, _ in report.result.items))
+        assert ramified == {2, 3, 7, 11, 19, 23, 31, 43}
+
     def test_too_many_unknowns_is_under_determined(self):
         order = {p: 1 for p in (2, 3, 5, 11, 17, 23, 29, 41, 47, 53, 59)}
         s = CharacterFactSheet(id="x", degree=4, field=Q3, group_order_factors=order)
@@ -929,6 +942,38 @@ class TestAlphaCombine:
         # from_pair(-1,-1) ramifies at 2, which splits in Q(sqrt(-7))
         with pytest.raises(ValueError, match="splitting field"):
             alpha_combine(from_pair(-1, -1), 3, 1, "+", Q7)
+
+
+class TestAlphaClass:
+    def test_orthogonal_extension_multiplies_by_the_alpha_pair(self):
+        q = from_pair(-3, 10)
+        assert alpha_class(q, 3, 7, "+", Q3) == q.mul(from_pair(-3, 7))
+        assert alpha_class(q, 4, 7, "+", Q3) == from_pair(-3, 7)
+
+    def test_symplectic_extension_is_the_power(self):
+        q = from_pair(-3, 10)
+        assert alpha_class(q, 3, 7, "-", Q3) == q
+        assert alpha_class(q, 4, 7, "-", Q3) == cls()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 58311])
+    @pytest.mark.parametrize("ind", ["+", "-"])
+    @pytest.mark.parametrize("alpha", [5, -21, 49, -33])
+    def test_is_the_class_of_alpha_combine(self, m, ind, alpha):
+        for q, L in ((from_pair(-3, 10), Q3), (cls(INF, 7), Q1), (cls(), Q19)):
+            t = alpha_combine(q, m, alpha, ind, L)
+            assert alpha_class(q, m, alpha, ind, L) == from_pair(L.field_disc, t)
+
+    def test_unsplit_class_rejected_for_any_exponent(self):
+        for m in (1, 2):
+            with pytest.raises(ValueError, match="splitting field"):
+                alpha_class(from_pair(-1, -1), m, 1, "-", Q7)
+
+    def test_large_primes_need_no_factoring(self):
+        # two 26-digit primes inert in Q(sqrt(-3)): p*q is beyond the
+        # factoring budget, and the class never passes through it
+        p, q = 25080330703369597437700091, 78801772797767169992055857
+        assert alpha_class(cls(p, q), 1, 5, "+", Q3) == cls(3, 5, p, q)
+        assert alpha_class(cls(p, q), 1, 5, "-", Q3) == cls(p, q)
 
 
 class TestQ8Class:

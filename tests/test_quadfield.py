@@ -87,6 +87,11 @@ class TestFieldBasics:
         with pytest.raises(ValueError):
             ImagQuadField(12)  # not squarefree
 
+    @pytest.mark.parametrize("delta0", [True, False, 3.0, "3"])
+    def test_rejects_non_integer_delta0(self, delta0):
+        with pytest.raises(ValueError, match="positive integer"):
+            ImagQuadField(delta0)
+
 
 class TestQuadElem:
     def test_pinned_values(self):

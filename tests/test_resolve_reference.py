@@ -1,0 +1,249 @@
+"""A brute-force reference for the rule engine's `resolve`.
+
+Delta(chi) is a quaternion class over Q, so it is an even-size set S of
+places, and every place outside the candidate places (inf and the primes
+dividing 2|G|) is unramified. The reference tries every even-size S of
+candidate places and keeps those that every rule allows. Each rule is one
+predicate, written from the statement the engine cites for it, not from
+the engine's status assignment:
+
+- inf is in S iff the degree is 2 mod 4;
+- no place that splits in L is in S, whatever the sheet says about the
+  local Schur index: a class with L as a splitting field cannot ramify
+  there;
+- at an inert prime, a stable reduction (Irreducible or UnitaryStable)
+  keeps p out of S, and in a defect-one block a reduction that is not
+  unitary stable puts p in S;
+- at an odd prime ramified in L, an orthogonal discriminant that is a
+  square keeps p out of S, and a nonsquare puts p in S;
+- a faithful character of a perfect group with 4 | |Z| has no odd prime
+  in S;
+- for a perfect group with even centre, an odd prime p ramified in L is
+  in S iff (-1)^(d/2) is a nonsquare mod p;
+- a quaternion subgroup, a relation or alpha facts fix S to the class the
+  combiner gives.
+
+resolve must raise DeduceError iff nothing survives, and otherwise report
+exactly the survivors: Unique when it is the only one.
+"""
+
+from collections import Counter
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from udisc.brauer import BrauerClassQ, l_disc
+from udisc.deduce import (
+    AlphaFacts,
+    Candidates,
+    CharacterFactSheet,
+    Constituent,
+    DeduceError,
+    FactStatus,
+    InductionRelation,
+    ModFact,
+    PlaceStatus,
+    RestrictionRelation,
+    Structural,
+    TensorRelation,
+    Unique,
+    alpha_class,
+    candidate_places,
+    combine_induction,
+    combine_restriction,
+    combine_tensor,
+    q8_class,
+    resolve,
+)
+from udisc.quadfield import ImagQuadField, PrimeBehavior, prime_behavior
+from udisc.symbols import INF
+
+# 2 ramifies in Q(i), Q(sqrt-2), Q(sqrt-5); is inert in Q(sqrt-3); splits
+# in Q(sqrt-7), Q(sqrt-15)
+FIELDS = [ImagQuadField(d) for d in (1, 2, 3, 5, 7, 15)]
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+STABLE = (FactStatus.IRREDUCIBLE, FactStatus.UNITARY_STABLE)
+
+
+def fixed_classes(sheet):
+    """The classes that the quaternion subgroup, the relations and the alpha
+    facts fix; a combiner that rejects its inputs raises here."""
+    L = sheet.field
+    fixed = []
+    if sheet.structural is not None and sheet.structural.q8_subgroup:
+        fixed.append(q8_class(sheet.degree, L))
+    for rel in sheet.relations:
+        if isinstance(rel, RestrictionRelation):
+            fixed.append(combine_restriction(L, rel.constituents))
+        elif isinstance(rel, InductionRelation):
+            fixed.append(combine_induction(rel.psi_delta, rel.index, rel.field_degree_odd))
+        else:
+            fixed.append(combine_tensor(rel.delta_chi, rel.psi_degree))
+    a = sheet.alpha_facts
+    if a is not None:
+        fixed.append(alpha_class(a.q_class, a.m, a.alpha_disc, a.indicator_ext, L))
+    return [c.ram for c in fixed]
+
+
+def nonsquare_mod(a, p):
+    return pow(a % p, (p - 1) // 2, p) == p - 1
+
+
+def allowed(sheet, kind, fixed, S):
+    # kind: the behaviour in L of each finite candidate place
+    if (INF in S) != (sheet.degree % 4 == 2):
+        return False
+    if any(kind[v] is PrimeBehavior.SPLIT for v in S if v != INF):
+        return False
+    for f in sheet.mod_facts:
+        if kind[f.p] is PrimeBehavior.INERT:
+            if f.status in STABLE and f.p in S:
+                return False
+            if f.defect_one and f.status is FactStatus.NOT_UNITARY_STABLE and f.p not in S:
+                return False
+        elif kind[f.p] is PrimeBehavior.RAMIFIED and f.p != 2:
+            if f.status is FactStatus.ORTH_SQUARE and f.p in S:
+                return False
+            if f.status is FactStatus.ORTH_NONSQUARE and f.p not in S:
+                return False
+    s = sheet.structural
+    if s is not None and s.perfect:
+        if s.faithful and s.center_order % 4 == 0 and any(v not in (INF, 2) for v in S):
+            return False
+        if s.center_order % 2 == 0:
+            for p, d in s.orth_dim_sum_mod4.items():
+                if p != 2 and kind[p] is PrimeBehavior.RAMIFIED:
+                    if (p in S) != nonsquare_mod((-1) ** (d // 2), p):
+                        return False
+    return all(S == ram for ram in fixed)
+
+
+def survivors(sheet):
+    places = candidate_places(sheet)
+    kind = {v: prime_behavior(sheet.field, v) for v in places if v != INF}
+    fixed = fixed_classes(sheet)
+    return [
+        frozenset(S)
+        for r in range(0, len(places) + 1, 2)
+        for S in combinations(places, r)
+        if allowed(sheet, kind, fixed, frozenset(S))
+    ]
+
+
+@st.composite
+def classes(draw, places):
+    ram = set(draw(st.lists(st.sampled_from(places), max_size=4, unique=True)))
+    if len(ram) % 2:
+        ram ^= {places[0]}
+    return BrauerClassQ(ram)
+
+
+@st.composite
+def constituents(draw, places):
+    indicator = draw(st.sampled_from("+-o"))
+    return Constituent(
+        indicator,
+        draw(st.integers(1, 6)),
+        mult=draw(st.integers(1, 2)),
+        brauer_class=draw(classes(places)),
+        ortho_disc=draw(st.sampled_from([1, -1, 2, -3, 5, 6, -7])),
+        delta_class=draw(classes(places)),
+        hyperbolic=draw(st.integers(0, 4)) == 0,
+    )
+
+
+@st.composite
+def sheets(draw):
+    L = draw(st.sampled_from(FIELDS))
+    primes = draw(st.lists(st.sampled_from(PRIMES), min_size=1, max_size=6, unique=True))
+    finite = sorted({2, *primes})
+    places = [INF] + finite
+    facts = []
+    for p in draw(st.lists(st.sampled_from(finite), max_size=5)):
+        statuses = list(FactStatus)
+        if prime_behavior(L, p) is not PrimeBehavior.RAMIFIED:
+            statuses = [s for s in statuses if s not in
+                        (FactStatus.ORTH_SQUARE, FactStatus.ORTH_NONSQUARE)]
+        facts.append(ModFact(p, draw(st.sampled_from(statuses)),
+                             defect_one=draw(st.booleans()), external=p not in primes))
+    structural = None
+    if draw(st.booleans()):
+        structural = Structural(
+            q8_subgroup=draw(st.integers(0, 3)) == 0,
+            perfect=draw(st.booleans()),
+            center_order=draw(st.sampled_from([1, 2, 4, 6])),
+            orth_dim_sum_mod4=draw(st.dictionaries(
+                st.sampled_from(finite), st.sampled_from([0, 2]), max_size=3)),
+            faithful=draw(st.booleans()),
+        )
+    relations = []
+    if draw(st.integers(0, 5)) == 0:
+        relations.append(RestrictionRelation(
+            draw(st.lists(constituents(places), min_size=1, max_size=3))))
+    if draw(st.integers(0, 5)) == 0:
+        relations.append(InductionRelation(
+            draw(classes(places)), draw(st.integers(1, 3)), draw(st.integers(0, 4)) > 0))
+    if draw(st.integers(0, 5)) == 0:
+        relations.append(TensorRelation(draw(classes(places)), draw(st.integers(1, 3))))
+    alpha = None
+    if draw(st.integers(0, 5)) == 0:
+        alpha = AlphaFacts(draw(classes(places)), draw(st.integers(1, 3)),
+                           draw(st.sampled_from([1, -1, 2, -3, 5, 7, -15])),
+                           draw(st.sampled_from("+-")))
+    return CharacterFactSheet(
+        id="ref",
+        degree=draw(st.sampled_from([2, 4, 6, 8])),
+        field=L,
+        group_order_factors={p: 1 for p in primes},
+        quasi_split=draw(st.booleans()),
+        split_schur_trivial=draw(st.booleans()),
+        mod_facts=facts,
+        structural=structural,
+        alpha_facts=alpha,
+        relations=relations,
+    )
+
+
+def check_against_reference(sheet):
+    """Compare resolve with the reference on one sheet. Returns True for
+    the one case the engine is pinned to report differently: a single
+    survivor reported as Candidates because split places stay unknown
+    under split_schur_trivial: false."""
+    try:
+        want = survivors(sheet)
+    except ValueError as e:
+        # a combiner refuses its inputs; resolve fails on them too, or on
+        # an earlier contradiction
+        with pytest.raises(type(e)):
+            resolve(sheet)
+        return False
+    if not want:
+        with pytest.raises(DeduceError):
+            resolve(sheet)
+        return False
+    report = resolve(sheet)
+    result = report.result
+    if isinstance(result, Unique):
+        items = [(result.brauer_class, result.disc)]
+        assert len(want) == 1
+    else:
+        assert isinstance(result, Candidates)
+        items = list(result.items)
+    assert Counter(c.ram for c, _ in items) == Counter(want)
+    for c, disc in items:
+        assert disc == (l_disc(c, sheet.field) if sheet.quasi_split else None)
+    if isinstance(result, Candidates) and len(want) == 1:
+        split_unknown = [v for v, s in report.statuses.items()
+                         if s is PlaceStatus.UNKNOWN and v != INF
+                         and prime_behavior(sheet.field, v) is PrimeBehavior.SPLIT]
+        assert split_unknown and not sheet.split_schur_trivial
+        return True
+    return False
+
+
+@settings(max_examples=250, deadline=None)
+@given(sheets())
+def test_resolve_reports_exactly_the_surviving_classes(sheet):
+    check_against_reference(sheet)
