@@ -368,6 +368,11 @@ def _load_sheet(v, relations_raw, fid, path):
     )
 
 
+# A larger Gram matrix is refused before any entry is built; the README's
+# "Fact files" gives the measurements behind the value.
+MAX_GRAM_DIM = 32
+
+
 def _load_gram(v, path):
     from .hermforms import HermitianGram
 
@@ -376,6 +381,8 @@ def _load_gram(v, path):
               _as_pos_int(v.get("delta0"), path + ".delta0"))
     rows = _as_list(v.get("entries"), path + ".entries")
     n = len(rows)
+    if n > MAX_GRAM_DIM:
+        _fail(path + ".entries", "%d rows, more than the limit of %d" % (n, MAX_GRAM_DIM))
     entries = []
     for i, row in enumerate(rows):
         rp = "%s.entries[%d]" % (path, i)

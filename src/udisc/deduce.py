@@ -461,7 +461,7 @@ def resolve(sheet: CharacterFactSheet) -> DeductionReport:
     Local rules first, then globally combined classes, then parity closure.
     Up to _MAX_FREE_PLACES free places (unknowns that do not split in L)
     are enumerated into parity-even classes, with the minimal squarefree
-    discriminant when chi is quasi-split: Unique when no place is unknown,
+    discriminant when chi is quasi-split: Unique when one class survives,
     else Candidates. More free places yield UnderDetermined.
     """
     L = sheet.field
@@ -506,7 +506,7 @@ def resolve(sheet: CharacterFactSheet) -> DeductionReport:
         items.sort(key=lambda item: (abs(item[1]), item[1] < 0))
         if not sheet.quasi_split:
             items = [(cls, None) for cls, _ in items]
-        result = Candidates(tuple(items)) if unknowns else Unique(*items[0])
+        result = Candidates(tuple(items)) if len(items) > 1 else Unique(*items[0])
 
     return DeductionReport(sheet.id, dict(statuses), result, tuple(asg.trace))
 

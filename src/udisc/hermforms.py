@@ -9,28 +9,26 @@ The discriminant of an n-dimensional form is the square class of
 is the quaternion class (field_disc, disc)_Q. Transfer to a 2n-dimensional
 rational quadratic form preserves that class as the Clifford invariant.
 
-A HermitianGram runs one congruence elimination when it is built and keeps
-the diagonal. det(H) is the product of that diagonal, so the discriminant
-and the transfer both read it; no second elimination computes det(H).
+A HermitianGram runs one congruence elimination when it is built, on integer
+coordinates without fractions, and keeps the diagonal; det(H) is its product.
+The transfer's Hasse symbols read each coefficient once per place, so what
+remains costly is factoring every pivot to find those places.
 """
 
 import enum
 import math
-import operator
 from fractions import Fraction
-from itertools import accumulate
 from typing import NamedTuple
 
 from .brauer import BrauerClassQ, from_pair, l_disc
 from .quadfield import ImagQuadField, PrimeBehavior, QuadElem, prime_behavior
 from .symbols import (
+    INF,
     _as_fraction,
     _unit_mod,
     _val_unit,
-    hilbert,
     legendre,
     relevant_places,
-    squarefree_part,
 )
 
 
@@ -54,16 +52,9 @@ class HermitianGram:
             for e in row:
                 if not isinstance(e, QuadElem) or e.field != field:
                     raise ValueError("entries must be elements of the given field")
-        for i in range(n):
-            for j in range(n):
-                if entries[j][i] != entries[i][j].conj():
-                    raise ValueError(
-                        "not Hermitian: entry (%d,%d) is not the conjugate "
-                        "of entry (%d,%d)" % (j, i, i, j)
-                    )
         self.field = field
         self.entries = entries
-        # the pivots of the one elimination, which also checks nondegeneracy
+        # the one elimination's pivots; it also rejects non-Hermitian or degenerate H
         self.diagonal = _congruence_diagonal(entries, field)
 
     @property
@@ -101,40 +92,61 @@ def diagonal_gram(field: ImagQuadField, coeffs) -> HermitianGram:
 
 
 def _congruence_diagonal(entries, field: ImagQuadField) -> tuple:
-    # H -> G^T H sigma(G) with N(det G) = 1, so the pivots multiply to
-    # det(H). Each step updates only the trailing block: rows and columns
-    # before e are never read again.
-    n = len(entries)
-    m = [list(row) for row in entries]
-    diag = []
+    # H -> G^T H sigma(G) with N(det G) = 1, so the pivots multiply to det(H).
+    # Bareiss on B = s*H (s: lcm of all denominators) as integer pairs x + y*r,
+    # r = sqrt(-delta0): after step e, B_ij for i, j > e is the minor on rows
+    # 0..e,i and columns 0..e,j, so dividing by prev, the previous leading minor,
+    # is exact (Sylvester's identity); rows and columns before e are not read.
+    n, d = len(entries), field.delta0
+    s = math.lcm(*{q.denominator for row in entries for a in row for q in (a.x, a.y)})
+    X = [[a.x.numerator * (s // a.x.denominator) for a in row] for row in entries]
+    Y = [[a.y.numerator * (s // a.y.denominator) for a in row] for row in entries]
+    for i in range(n):
+        for j in range(i, n):
+            if X[j][i] != X[i][j] or Y[j][i] != -Y[i][j]:
+                raise ValueError("not Hermitian: entry (%d,%d) is not the conjugate"
+                                 " of entry (%d,%d)" % (j, i, i, j))
+    prev, diag = 1, []
     for e in range(n):
-        if m[e][e].is_zero():
-            f = next((f for f in range(e + 1, n) if not m[f][f].is_zero()), None)
+        if not (X[e][e] or Y[e][e]):
+            f = next((f for f in range(e + 1, n) if X[f][f] or Y[f][f]), None)
             if f is not None:
-                m[e], m[f] = m[f], m[e]
-                for row in m[e:]:
-                    row[e], row[f] = row[f], row[e]
+                for M in (X, Y):
+                    M[e], M[f] = M[f], M[e]
+                    for row in M[e:]:
+                        row[e], row[f] = row[f], row[e]
+        xe, ye = X[e], Y[e]
+        if not (xe[e] or ye[e]):
+            f = next((f for f in range(e + 1, n) if xe[f] or ye[f]), None)
+            if f is None:
+                raise ValueError("degenerate Hermitian Gram matrix")
+            # all remaining diagonal values vanish; v_e + c v_f has H-value
+            # Tr(conj(c) H(v_e,v_f)), nonzero for c = 1 or c = r
+            xf, yf = X[f], Y[f]
+            cx, cy = (1, 0) if xe[f] + xf[e] or ye[f] + yf[e] else (0, 1)
+            for j in range(e, n):
+                xe[j], ye[j] = (xe[j] + cx * xf[j] - d * cy * yf[j],
+                                ye[j] + cx * yf[j] + cy * xf[j])
+            for xi, yi in zip(X[e:], Y[e:]):
+                xi[e], yi[e] = (xi[e] + cx * xi[f] + d * cy * yi[f],
+                                yi[e] + cx * yi[f] - cy * xi[f])
+        p = xe[e]
+        assert ye[e] == 0
+        diag.append(Fraction(p, prev * s))
+        # the trailing block becomes p/prev times its Schur complement
+        bx, by = xe[e + 1:], ye[e + 1:]
+        for xi, yi in zip(X[e + 1:], Y[e + 1:]):
+            ax, ay = xi[e], yi[e]
+            if ax or ay:
+                day = d * ay
+                xi[e + 1:] = [(p * x - ax * u + day * v) // prev
+                              for x, u, v in zip(xi[e + 1:], bx, by)]
+                yi[e + 1:] = [(p * y - ax * v - ay * u) // prev
+                              for y, u, v in zip(yi[e + 1:], bx, by)]
             else:
-                f = next((f for f in range(e + 1, n) if not m[e][f].is_zero()), None)
-                if f is None:
-                    raise ValueError("degenerate Hermitian Gram matrix")
-                # all remaining diagonal values vanish; v_e + c v_f has
-                # H-value Tr(conj(c) H(v_e,v_f)), nonzero for c = 1 or
-                # c = sqrt(-delta0)
-                c = next(c for c in (field.elem(1, 0), field.sqrt_gen())
-                         if not (c.conj() * m[e][f] + c * m[f][e]).is_zero())
-                m[e][e:] = [a + c * b for a, b in zip(m[e][e:], m[f][e:])]
-                cc = c.conj()
-                for row in m[e:]:
-                    row[e] = row[e] + cc * row[f]
-        pivot = m[e][e]
-        # the trailing block becomes its Schur complement
-        for row in m[e + 1:]:
-            if not row[e].is_zero():
-                r = row[e] / pivot
-                row[e + 1:] = [a - r * b for a, b in zip(row[e + 1:], m[e][e + 1:])]
-        assert pivot.y == 0
-        diag.append(pivot.x)
+                xi[e + 1:] = [p * x // prev for x in xi[e + 1:]]
+                yi[e + 1:] = [p * y // prev for y in yi[e + 1:]]
+        prev = p
     return tuple(diag)
 
 
@@ -204,16 +216,37 @@ def quad_invariants(q: DiagQuadFormQ) -> QuadInvariants:
     """Dimension, signed squarefree disc, Hasse symbols, and signature."""
     cs = q.coefficients
     m = len(cs)
-    # by bilinearity, the product over i < j of (c_i, c_j)_v is the
-    # product over j of (c_1...c_{j-1}, c_j)_v
-    heads = list(accumulate(cs, operator.mul))
-    hasse = {
-        v: math.prod(hilbert(a, c, v) for a, c in zip(heads, cs[1:]))
-        for v in relevant_places(*cs)
-    }
-    pos = sum(1 for c in cs if c > 0)
-    disc_val = squarefree_part(_disc_sign(m), *cs)
-    return QuadInvariants(m, disc_val, hasse, (pos, m - pos))
+    # by bilinearity the Hasse symbol at v is the product over j of (h, c_j)_v,
+    # h = c_1...c_{j-1}. At a prime p, c_j = x/y is read once through z = x*y,
+    # of the same square class: z = p^a * w gives a mod 2 and u = w mod p (mod 8
+    # at 2). h is kept as (ha, hu), and at 2 as eps and omega sums (he, hw).
+    zs = [c.numerator * c.denominator for c in cs]
+    neg = sum(1 for z in zs if z < 0)
+    hasse = {INF: -1 if neg * (neg - 1) // 2 % 2 else 1}
+    disc_val = _disc_sign(m) * (-1) ** neg
+    for p in relevant_places(*cs)[1:]:
+        t = ha = he = hw = 0
+        hu = g = 1
+        for z in zs:
+            a = 0
+            while z % p == 0:
+                z, a = z // p, a ^ 1
+            u = z % (8 if p == 2 else p)
+            if p == 2:
+                e, w = u >> 1 & 1, u in (3, 5)
+                t += (he & e) + (ha & w) + (a & hw)
+                he, hw = he ^ e, hw ^ w
+            else:
+                # (h, c)_p = ((-1)^(ha*a) * hu^a * u^ha | p)
+                if a:
+                    g = g * (-hu if ha else hu) % p
+                if ha:
+                    g = g * u % p
+                hu = hu * u % p
+            ha ^= a
+        hasse[p] = legendre(g, p) if p != 2 else -1 if t % 2 else 1
+        disc_val *= p if ha else 1
+    return QuadInvariants(m, disc_val, hasse, (m - neg, neg))
 
 
 def clifford_invariant(

@@ -16,6 +16,7 @@ import pytest
 import udisc
 from udisc import arith
 from udisc.cli import (
+    MAX_GRAM_DIM,
     FactFile,
     FactFileError,
     Report,
@@ -345,6 +346,30 @@ class TestHformCommand:
         path = write_json(tmp_path, "skew.json", payload)
         rc, _, err = run(capsys, "hform", path)
         assert rc == 1
+
+    def test_dimension_limit(self, capsys, tmp_path):
+        def identity(n):
+            return {"id": "id%d" % n, "gram": {"delta0": 1, "entries": [
+                [[int(i == j), 1, 0, 1] for j in range(n)] for i in range(n)]},
+                "expected": {"kind": "hform", "disc": 1, "ram": []}}
+
+        path = write_json(tmp_path, "at.json", identity(MAX_GRAM_DIM))
+        rc, out, _ = run(capsys, "hform", path)
+        assert (rc, out.splitlines()[0]) == (0, "disc=1 ram{} clifford=OK")
+        over = tmp_path / "over"
+        over.mkdir()
+        path = write_json(over, "over.json", identity(MAX_GRAM_DIM + 1))
+        msg = "gram.entries: %d rows, more than the limit of %d" % (
+            MAX_GRAM_DIM + 1, MAX_GRAM_DIM)
+        rc, out, err = run(capsys, "hform", path)
+        assert (rc, out, err) == (1, "", "error: %s\n" % msg)
+        rc, out, _ = run(capsys, "--json", "hform", path)
+        data = json.loads(out)
+        assert (rc, data["kind"], data["error"]) == (1, "error", msg)
+        rc, out, _ = run(capsys, "corpus", str(over))
+        assert rc == 3
+        assert out.splitlines()[0].split()[:4] == ["FAIL", "over", "load", "error:"]
+        assert out.splitlines()[0].endswith(msg)
 
     def test_missing_gram_block(self, capsys, tmp_path):
         path = write_json(tmp_path, "nogram.json", SHEET_CHI33)
@@ -1095,6 +1120,19 @@ class TestBigPrimeClasses:
             "ram{%s}" % ",".join(str(v) for v in ram))
         data = json.loads(self.answer(capsys, tmp_path, payload, "--json"))
         assert (data["kind"], data["disc"], data["ram"]) == ("unique", disc, ram)
+
+
+def test_single_survivor_beside_split_unknowns_is_unique(capsys, tmp_path):
+    # 7 splits in Q(sqrt-3) and stays unknown; parity leaves one class
+    path = write_json(tmp_path, "split7.json", {"id": "split7", "character": {
+        "degree": 2, "delta0": 3, "split_schur_trivial": False,
+        "group_order_factors": {"2": 1, "3": 1, "7": 1},
+        "mod_facts": [{"p": 2, "status": "Irreducible"}]}})
+    rc, out, _ = run(capsys, "deduce", path)
+    assert (rc, out.splitlines()[0]) == (0, "disc = -1, Delta = (-1,-3)_Q, ram{inf,3}")
+    rc, out, _ = run(capsys, "--json", "deduce", path)
+    data = json.loads(out)
+    assert (rc, data["kind"], data["disc"], data["ram"]) == (0, "unique", -1, ["inf", 3])
 
 
 def test_split_unknowns_are_not_free_places(capsys, tmp_path):

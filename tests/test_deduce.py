@@ -659,10 +659,9 @@ class TestResolveCandidates:
             split_schur_trivial=False,
             mod_facts=(fact(2, FactStatus.IRREDUCIBLE),),
         )
+        # 7 splits in Q(sqrt(-3)) and stays unknown, yet one class survives
         report = resolve(s)
-        assert isinstance(report.result, Candidates)
-        assert [d for _, d in report.result.items] == [-1]
-        assert report.result.items[0][0] == cls(INF, 3)
+        assert report.result == Unique(cls(INF, 3), -1)
 
     def test_split_unknowns_are_not_counted_as_free(self):
         # over Q(i) the unknowns 5, 13 and 17 split; the other eight are

@@ -18,6 +18,7 @@ from udisc.hermforms import (
     DiagQuadFormQ,
     HermitianGram,
     SquareTest,
+    _congruence_diagonal,
     clifford_invariant,
     delta,
     diagonal_gram,
@@ -32,7 +33,7 @@ from udisc.hermforms import (
     unimodular_reduce_at,
 )
 from udisc.quadfield import ImagQuadField, QuadElem, norm_class
-from udisc.symbols import INF, hilbert, squarefree_part
+from udisc.symbols import INF, hilbert, relevant_places, squarefree_part
 
 Q1 = ImagQuadField(1)
 Q3 = ImagQuadField(3)
@@ -53,6 +54,40 @@ def oracle_det(entries):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def oracle_congruence_diagonal(entries, field):
+    """The congruence elimination on Fraction coordinates, the reference
+    for the fraction-free one: the same pivot rules, with the Schur
+    complement computed by division at every step."""
+    n = len(entries)
+    m = [list(row) for row in entries]
+    diag = []
+    for e in range(n):
+        if m[e][e].is_zero():
+            f = next((f for f in range(e + 1, n) if not m[f][f].is_zero()), None)
+            if f is not None:
+                m[e], m[f] = m[f], m[e]
+                for row in m[e:]:
+                    row[e], row[f] = row[f], row[e]
+            else:
+                f = next((f for f in range(e + 1, n) if not m[e][f].is_zero()), None)
+                if f is None:
+                    raise ValueError("degenerate Hermitian Gram matrix")
+                c = next(c for c in (field.elem(1, 0), field.sqrt_gen())
+                         if not (c.conj() * m[e][f] + c * m[f][e]).is_zero())
+                m[e][e:] = [a + c * b for a, b in zip(m[e][e:], m[f][e:])]
+                cc = c.conj()
+                for row in m[e:]:
+                    row[e] = row[e] + cc * row[f]
+        pivot = m[e][e]
+        for row in m[e + 1:]:
+            if not row[e].is_zero():
+                r = row[e] / pivot
+                row[e + 1:] = [a - r * b for a, b in zip(row[e + 1:], m[e][e + 1:])]
+        assert pivot.y == 0
+        diag.append(pivot.x)
+    return tuple(diag)
 
 
 def gram(field, rows):
@@ -237,6 +272,57 @@ class TestDegeneracy:
             gram(Q3, [[0, 0, 0], [0, 2, 1], [0, 1, 5]])
 
 
+class TestEliminationOracle:
+    """The fraction-free elimination gives exactly the oracle's pivots."""
+
+    @staticmethod
+    def agree(ent, field):
+        try:
+            want = oracle_congruence_diagonal(ent, field)
+        except ValueError as e:
+            assert str(e) == "degenerate Hermitian Gram matrix"
+            with pytest.raises(ValueError, match="^degenerate Hermitian Gram matrix$"):
+                _congruence_diagonal(ent, field)
+            return False
+        got = _congruence_diagonal(ent, field)
+        assert got == want
+        assert all(type(a) is Fraction for a in got)
+        return True
+
+    def test_degeneracy_matrices(self):
+        # the 250 matrices of TestDegeneracy, whose first pivot often needs
+        # a swap or the v_1 + c v_f step
+        rng = random.Random(19)
+        cases = {(True, True): 0, (True, False): 0, (False, True): 0, (False, False): 0}
+        for _ in range(250):
+            field = ImagQuadField(rng.choice([1, 2, 3, 5, 10]))
+            ent = rand_congruent(rng, field, rng.randint(1, 5))
+            accepted = self.agree(ent, field)
+            zero_diag = [row[i].is_zero() for i, row in enumerate(ent)]
+            if zero_diag[0]:
+                cases[accepted, all(zero_diag)] += 1
+        assert min(cases.values()) >= 5, cases
+
+    @pytest.mark.parametrize("d0", [1, 2, 3, 5, 7, 10, 15])
+    def test_seeded_forms(self, d0):
+        rng = random.Random(d0)
+        field = ImagQuadField(d0)
+
+        def q(span):
+            return Fraction(rng.randint(-span, span), rng.randint(1, 12))
+
+        for _ in range(12):
+            n = rng.randint(1, 8)
+            for dense in (True, False):
+                ent = [[field.elem(0, 0)] * n for _ in range(n)]
+                for i in range(n):
+                    ent[i][i] = field.elem(q(30) or 1, 0)
+                    for j in range(i + 1, n) if dense else ():
+                        ent[i][j] = field.elem(q(6), q(6))
+                        ent[j][i] = ent[i][j].conj()
+                self.agree(ent, field)
+
+
 class TestDisc:
     def test_pinned_values(self):
         assert disc(identity_gram(Q10, 2)) == -1
@@ -331,6 +417,22 @@ class TestQuadInvariants:
                 for j in range(i + 1, 3):
                     direct *= hilbert(cs[i], cs[j], v)
             assert s == direct
+
+
+    def test_hasse_kernel_against_hilbert(self):
+        # entries +-a/b with a, b <= 200, often times a power of 2, so the
+        # dyadic eps and omega terms and odd valuations all come up
+        rng = random.Random(41)
+        for _ in range(300):
+            cs = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 200) * 2 ** rng.randint(0, 3),
+                           rng.randint(1, 200) * 2 ** rng.choice([0, 0, 1, 3]))
+                  for _ in range(rng.randint(1, 12))]
+            inv = quad_invariants(DiagQuadFormQ(cs))
+            places = relevant_places(*cs)
+            assert list(inv.hasse) == places
+            for v in places:
+                assert inv.hasse[v] == math.prod(
+                    hilbert(a, b, v) for i, a in enumerate(cs) for b in cs[i + 1:])
 
 
 class TestCliffordInvariant:

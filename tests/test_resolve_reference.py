@@ -44,7 +44,6 @@ from udisc.deduce import (
     FactStatus,
     InductionRelation,
     ModFact,
-    PlaceStatus,
     RestrictionRelation,
     Structural,
     TensorRelation,
@@ -207,10 +206,7 @@ def sheets(draw):
 
 
 def check_against_reference(sheet):
-    """Compare resolve with the reference on one sheet. Returns True for
-    the one case the engine is pinned to report differently: a single
-    survivor reported as Candidates because split places stay unknown
-    under split_schur_trivial: false."""
+    """Compare resolve with the reference on one sheet."""
     try:
         want = survivors(sheet)
     except ValueError as e:
@@ -218,29 +214,21 @@ def check_against_reference(sheet):
         # an earlier contradiction
         with pytest.raises(type(e)):
             resolve(sheet)
-        return False
+        return
     if not want:
         with pytest.raises(DeduceError):
             resolve(sheet)
-        return False
-    report = resolve(sheet)
-    result = report.result
-    if isinstance(result, Unique):
+        return
+    result = resolve(sheet).result
+    if len(want) == 1:
+        assert isinstance(result, Unique)
         items = [(result.brauer_class, result.disc)]
-        assert len(want) == 1
     else:
         assert isinstance(result, Candidates)
         items = list(result.items)
     assert Counter(c.ram for c, _ in items) == Counter(want)
     for c, disc in items:
         assert disc == (l_disc(c, sheet.field) if sheet.quasi_split else None)
-    if isinstance(result, Candidates) and len(want) == 1:
-        split_unknown = [v for v, s in report.statuses.items()
-                         if s is PlaceStatus.UNKNOWN and v != INF
-                         and prime_behavior(sheet.field, v) is PrimeBehavior.SPLIT]
-        assert split_unknown and not sheet.split_schur_trivial
-        return True
-    return False
 
 
 @settings(max_examples=250, deadline=None)
