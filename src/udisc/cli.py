@@ -385,17 +385,16 @@ def _load_gram(v, path):
         _fail(path + ".entries", "%d rows, more than the limit of %d" % (n, MAX_GRAM_DIM))
     entries = []
     for i, row in enumerate(rows):
-        rp = "%s.entries[%d]" % (path, i)
         if not isinstance(row, list) or len(row) != n:
-            _fail(rp, "expected a row of %d entries" % n)
+            _fail("%s.entries[%d]" % (path, i), "expected a row of %d entries" % n)
         out = []
         for j, cell in enumerate(row):
-            cp = "%s[%d]" % (rp, j)
             if not (isinstance(cell, list) and len(cell) == 4
                     and all(_is_int(x) for x in cell)):
-                _fail(cp, "expected [x_num, x_den, y_num, y_den]")
+                _fail("%s.entries[%d][%d]" % (path, i, j),
+                      "expected [x_num, x_den, y_num, y_den]")
             if cell[1] == 0 or cell[3] == 0:
-                _fail(cp, "zero denominator")
+                _fail("%s.entries[%d][%d]" % (path, i, j), "zero denominator")
             out.append(QuadElem(Fraction(cell[0], cell[1]),
                                 Fraction(cell[2], cell[3]), L))
         entries.append(tuple(out))

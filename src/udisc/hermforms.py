@@ -11,8 +11,9 @@ rational quadratic form preserves that class as the Clifford invariant.
 
 A HermitianGram runs one congruence elimination when it is built, on integer
 coordinates without fractions, and keeps the diagonal; det(H) is its product.
-The transfer's Hasse symbols read each coefficient once per place, so what
-remains costly is factoring every pivot to find those places.
+The transfer's Hasse symbols come from ``symbols.hasse_symbol``, which reads
+each coefficient once per place, so what remains costly is factoring every
+pivot to find those places.
 """
 
 import enum
@@ -23,12 +24,13 @@ from typing import NamedTuple
 from .brauer import BrauerClassQ, from_pair, l_disc
 from .quadfield import ImagQuadField, PrimeBehavior, QuadElem, prime_behavior
 from .symbols import (
-    INF,
     _as_fraction,
     _unit_mod,
     _val_unit,
+    hasse_symbol,
     legendre,
     relevant_places,
+    squarefree_part,
 )
 
 
@@ -216,37 +218,10 @@ def quad_invariants(q: DiagQuadFormQ) -> QuadInvariants:
     """Dimension, signed squarefree disc, Hasse symbols, and signature."""
     cs = q.coefficients
     m = len(cs)
-    # by bilinearity the Hasse symbol at v is the product over j of (h, c_j)_v,
-    # h = c_1...c_{j-1}. At a prime p, c_j = x/y is read once through z = x*y,
-    # of the same square class: z = p^a * w gives a mod 2 and u = w mod p (mod 8
-    # at 2). h is kept as (ha, hu), and at 2 as eps and omega sums (he, hw).
     zs = [c.numerator * c.denominator for c in cs]
+    hasse = {v: hasse_symbol(zs, v) for v in relevant_places(*cs)}
     neg = sum(1 for z in zs if z < 0)
-    hasse = {INF: -1 if neg * (neg - 1) // 2 % 2 else 1}
-    disc_val = _disc_sign(m) * (-1) ** neg
-    for p in relevant_places(*cs)[1:]:
-        t = ha = he = hw = 0
-        hu = g = 1
-        for z in zs:
-            a = 0
-            while z % p == 0:
-                z, a = z // p, a ^ 1
-            u = z % (8 if p == 2 else p)
-            if p == 2:
-                e, w = u >> 1 & 1, u in (3, 5)
-                t += (he & e) + (ha & w) + (a & hw)
-                he, hw = he ^ e, hw ^ w
-            else:
-                # (h, c)_p = ((-1)^(ha*a) * hu^a * u^ha | p)
-                if a:
-                    g = g * (-hu if ha else hu) % p
-                if ha:
-                    g = g * u % p
-                hu = hu * u % p
-            ha ^= a
-        hasse[p] = legendre(g, p) if p != 2 else -1 if t % 2 else 1
-        disc_val *= p if ha else 1
-    return QuadInvariants(m, disc_val, hasse, (m - neg, neg))
+    return QuadInvariants(m, _disc_sign(m) * squarefree_part(*cs), hasse, (m - neg, neg))
 
 
 def clifford_invariant(

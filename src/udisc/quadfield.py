@@ -16,7 +16,6 @@ from .symbols import (
     _as_fraction,
     _val_unit,
     hilbert,
-    kronecker,
     legendre,
     relevant_places,
 )
@@ -149,7 +148,8 @@ def prime_behavior(L: ImagQuadField, p: int) -> PrimeBehavior:
     d = L.field_disc
     if d % p == 0:
         return PrimeBehavior.RAMIFIED
-    if kronecker(d, p) == 1:
+    # an unramified 2 meets an odd d = 1 mod 4, and splits iff d = 1 mod 8
+    if (d % 8 == 1) if p == 2 else legendre(d, p) == 1:
         return PrimeBehavior.SPLIT
     return PrimeBehavior.INERT
 

@@ -1,9 +1,11 @@
 """Residue symbols and Hilbert symbols over Q, exactly.
 
 Everything downstream (norm classes, Brauer classes, discriminants)
-reduces to the local symbols computed here.  All arithmetic is exact:
-rationals are ``fractions.Fraction``, integers are factored by
-``udisc.arith``.
+reduces to the local symbols computed here.  One kernel evaluates them:
+``hasse_symbol`` folds the signs, valuation parities and unit residues of
+integer coefficients at one place, and ``hilbert`` is its two-coefficient
+case.  All arithmetic is exact: rationals are ``fractions.Fraction``,
+integers are factored by ``udisc.arith``.
 """
 
 from __future__ import annotations
@@ -57,31 +59,6 @@ def legendre(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a|n), multiplicative in n.
-
-    Extended to n = 2 by the mod 8 rule and to negative n through
-    (a|-1) = sign(a), the standard convention.
-    """
-    if n == 0:
-        raise ValueError("kronecker symbol needs n != 0")
-    result = 1
-    if n < 0:
-        result = -1 if a < 0 else 1
-        n = -n
-    for p, e in factor(n):
-        if p == 2:
-            if a % 2 == 0:
-                return 0
-            s = 1 if a % 8 in (1, 7) else -1
-        else:
-            s = legendre(a, p)
-        if s == 0:
-            return 0
-        result *= s**e
-    return result
-
-
 def _val_unit(q: Fraction, p: int) -> tuple[int, Fraction]:
     """Write q = p^alpha * u with u a p-unit; returns (alpha, u)."""
     alpha = 0
@@ -100,39 +77,56 @@ def _unit_mod(u: Fraction, p_power: int) -> int:
     return u.numerator * pow(u.denominator, -1, p_power) % p_power
 
 
-def _eps(u: Fraction) -> int:
-    # (u - 1)/2 mod 2 for a 2-adic unit u
-    return 0 if _unit_mod(u, 4) == 1 else 1
+def hasse_symbol(zs, v: Place) -> int:
+    """Hasse symbol prod_{i<j} (z_i, z_j)_v of the diagonal form <z_1, ..., z_m>.
 
-
-def _omega(u: Fraction) -> int:
-    # (u^2 - 1)/8 mod 2 for a 2-adic unit u
-    return 0 if _unit_mod(u, 8) in (1, 7) else 1
+    The z are nonzero integers; a rational x/y enters as z = x*y, of the
+    same square class.  v is INF or a prime and is not checked.  By
+    bilinearity the symbol is the product over j of (h, z_j)_v with
+    h = z_1...z_{j-1}, so each z is read once: its sign at INF, and at a
+    prime p its valuation parity a and unit residue u (mod p, or mod 8 at
+    2).  h is kept as (ha, hu), and at 2 as eps and omega sums (he, hw).
+    """
+    if v == INF:
+        neg = sum(1 for z in zs if z < 0)
+        return -1 if neg * (neg - 1) // 2 % 2 else 1
+    p = v
+    t = ha = he = hw = 0
+    hu = g = 1
+    for z in zs:
+        a = 0
+        while z % p == 0:
+            z, a = z // p, a ^ 1
+        u = z % (8 if p == 2 else p)
+        if p == 2:
+            e, w = u >> 1 & 1, u in (3, 5)
+            t += (he & e) + (ha & w) + (a & hw)
+            he, hw = he ^ e, hw ^ w
+        else:
+            # (h, z)_p = ((-1)^(ha*a) * hu^a * u^ha | p)
+            if a:
+                g = g * (-hu if ha else hu) % p
+            if ha:
+                g = g * u % p
+            hu = hu * u % p
+        ha ^= a
+    if p == 2:
+        return -1 if t % 2 else 1
+    # g is a unit mod p: Euler's criterion
+    return 1 if pow(g, (p - 1) // 2, p) == 1 else -1
 
 
 def hilbert(a: Rational, b: Rational, v: Place) -> int:
-    """Local Hilbert symbol (a,b)_v: +1 if split, -1 if division algebra."""
+    """Local Hilbert symbol (a,b)_v: +1 if split, -1 if division algebra.
+
+    It is the Hasse symbol of <a, b>, each rational entering as numerator
+    times denominator."""
     a, b = _as_fraction(a), _as_fraction(b)
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol needs nonzero arguments")
-    if v == INF:
-        return -1 if a < 0 and b < 0 else 1
-    p = v
-    if not isinstance(p, int) or not is_prime(p):
+    if v != INF and (not isinstance(v, int) or not is_prime(v)):
         raise ValueError(f"not a place of Q: {v!r}")
-    alpha, u = _val_unit(a, p)
-    beta, w = _val_unit(b, p)
-    if p == 2:
-        e = _eps(u) * _eps(w) + alpha * _omega(w) + beta * _omega(u)
-        return -1 if e % 2 else 1
-    s = 1
-    if (alpha * beta) % 2:
-        s *= legendre(-1, p)
-    if beta % 2:
-        s *= legendre(_unit_mod(u, p), p)
-    if alpha % 2:
-        s *= legendre(_unit_mod(w, p), p)
-    return s
+    return hasse_symbol((a.numerator * a.denominator, b.numerator * b.denominator), v)
 
 
 def relevant_places(*qs: Rational) -> list[Place]:

@@ -764,6 +764,26 @@ class TestLoader:
         assert ff.gram.field == ImagQuadField(10)
         assert ff.expected["kind"] == "hform"
 
+    @pytest.mark.parametrize("entries,msg", [
+        ([[[1, 1, 0, 1], [0, 1, 0, 1]], [[0, 1, 0, 1]]],
+         "gram.entries[1]: expected a row of 2 entries"),
+        ([[[1, 1, 0, 1], [0, 1, 0, 1]], "row"],
+         "gram.entries[1]: expected a row of 2 entries"),
+        ([[[1, 1, 0, 1], [0, 1, 0]], [[0, 1, 0, 1], [1, 1, 0, 1]]],
+         "gram.entries[0][1]: expected [x_num, x_den, y_num, y_den]"),
+        ([[[1, 1, 0, 1], [0, 1, 0, 1]], [[0, 1, True, 1], [1, 1, 0, 1]]],
+         "gram.entries[1][0]: expected [x_num, x_den, y_num, y_den]"),
+        ([[[1, 1, 0, 1], [0, 1, 0, 1]], [[0, 1, 0, 1], [1, 1, 0, 0]]],
+         "gram.entries[1][1]: zero denominator"),
+        ([[[1, 0, 0, 1]]], "gram.entries[0][0]: zero denominator"),
+    ])
+    def test_gram_cell_errors(self, tmp_path, entries, msg):
+        path = write_json(tmp_path, "g.json",
+                          {"id": "g", "gram": {"delta0": 1, "entries": entries}})
+        with pytest.raises(FactFileError) as e:
+            load_fact_file(path)
+        assert str(e.value) == msg
+
     def test_top_level_relations(self):
         ff = load_fact_file(corpus_path("u37_chi13"))
         assert len(ff.sheet.relations) == 1

@@ -1,26 +1,27 @@
 """Tests for residue and Hilbert symbols.
 
 Derived expectations are checked against independent oracles:
-squares are enumerated directly for legendre, the Jacobi symbol is
-recomputed by plain quadratic-reciprocity recursion for kronecker,
-and the full local Hilbert system is checked against rational
-solvability of a*x^2 + b*y^2 = z^2 (sympy's Legendre-equation
+squares are enumerated directly for legendre, the integer kernel behind
+hilbert is checked against the textbook formula on Fractions
+(oracle_hilbert), and the full local Hilbert system is checked against
+rational solvability of a*x^2 + b*y^2 = z^2 (sympy's Legendre-equation
 solver, local-global principle).
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import factorint
+from sympy import factorint, prevprime
 from sympy.solvers.diophantine.diophantine import diop_ternary_quadratic
 
 from udisc.symbols import (
     INF,
+    hasse_symbol,
     hilbert,
     hilbert_reciprocity_check,
-    kronecker,
     legendre,
     relevant_places,
     squarefree_part,
@@ -35,25 +36,51 @@ def oracle_legendre(a, p):
     return 1 if a % p in squares else -1
 
 
-def oracle_jacobi(a, n):
-    """Jacobi symbol for odd n >= 1 by reciprocity recursion.
+def oracle_hilbert(a, b, v):
+    """(a,b)_v by the textbook formula on Fractions (Serre, A Course in
+    Arithmetic, Ch. III, Thm. 1): a = p^alpha*u, b = p^beta*w with u, w
+    p-adic units, then eps and omega at 2 and Legendre symbols at odd p.
+    No fold over coefficients, so it checks the kernel behind hilbert."""
+    a, b = Fraction(a), Fraction(b)
+    if v == INF:
+        return -1 if a < 0 and b < 0 else 1
+    p = v
+    m = 8 if p == 2 else p
 
-    Independent of the implementation under test, which multiplies
-    legendre values over the factorization of n instead.
-    """
-    assert n >= 1 and n % 2 == 1
-    a %= n
-    result = 1
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
+    def val_unit(q):
+        # q = p^alpha * u; returns alpha and u mod m
+        alpha, num, den = 0, q.numerator, q.denominator
+        while num % p == 0:
+            num //= p
+            alpha += 1
+        while den % p == 0:
+            den //= p
+            alpha -= 1
+        return alpha, num * pow(den, -1, m) % m
+
+    alpha, u = val_unit(a)
+    beta, w = val_unit(b)
+    if p == 2:
+        def eps(x):  # (x - 1)/2 mod 2
+            return 0 if x % 4 == 1 else 1
+
+        def omega(x):  # (x^2 - 1)/8 mod 2
+            return 0 if x in (1, 7) else 1
+
+        e = eps(u) * eps(w) + alpha * omega(w) + beta * omega(u)
+        return -1 if e % 2 else 1
+
+    def leg(x):
+        return 1 if pow(x, (p - 1) // 2, p) == 1 else -1
+
+    s = 1
+    if (alpha * beta) % 2:
+        s *= leg(p - 1)
+    if beta % 2:
+        s *= leg(u)
+    if alpha % 2:
+        s *= leg(w)
+    return s
 
 
 def oracle_conic_has_rational_point(a, b):
@@ -67,6 +94,29 @@ def oracle_conic_has_rational_point(a, b):
 nonzero_rationals = st.fractions(
     min_value=-400, max_value=400, max_denominator=40
 ).filter(lambda q: q != 0)
+
+# 2 three times, so that high powers of 2 come up often
+SMALL_PRIMES = [2, 2, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+@st.composite
+def wide_ints(draw):
+    """Positive integers of up to 30 digits that factor fast: small primes
+    times at most one prime of up to 30 digits.  A random 30-digit integer
+    can take seconds to factor."""
+    n = math.prod(draw(st.lists(st.sampled_from(SMALL_PRIMES), max_size=10)))
+    big = draw(st.integers(0, (10**30 - 1) // n))
+    return n * prevprime(big + 1) if big >= 2 else n
+
+
+wide_rationals = st.builds(
+    lambda s, x, y: s * Fraction(x, y), st.sampled_from([1, -1]), wide_ints(), wide_ints()
+)
+random_wide_rationals = st.builds(
+    Fraction,
+    st.integers(-(10**30) + 1, 10**30 - 1).filter(lambda x: x != 0),
+    st.integers(1, 10**30 - 1),
+)
 
 
 class TestSquarefreePart:
@@ -105,38 +155,6 @@ class TestLegendre:
     def test_against_enumeration(self, p):
         for a in range(-2 * p, 2 * p + 1):
             assert legendre(a, p) == oracle_legendre(a, p), (a, p)
-
-
-class TestKronecker:
-    def test_pinned_values(self):
-        assert kronecker(-3, 7) == 1
-        assert kronecker(-20, 3) == 1
-        assert kronecker(-3, 2) == -1
-
-    def test_rejects_zero_modulus(self):
-        with pytest.raises(ValueError):
-            kronecker(5, 0)
-
-    @given(st.integers(-300, 300), st.integers(1, 301))
-    def test_odd_positive_agrees_with_jacobi(self, a, n):
-        if n % 2 == 0:
-            n += 1
-        assert kronecker(a, n) == oracle_jacobi(a, n)
-
-    @given(st.integers(-200, 200).filter(lambda a: a != 0))
-    def test_dyadic_rule(self, a):
-        if a % 2 == 0:
-            assert kronecker(a, 2) == 0
-        else:
-            assert kronecker(a, 2) == (1 if a % 8 in (1, 7) else -1)
-
-    @given(
-        st.integers(-100, 100),
-        st.integers(-60, 60).filter(lambda n: n != 0),
-        st.integers(-60, 60).filter(lambda n: n != 0),
-    )
-    def test_multiplicative_in_n(self, a, m, n):
-        assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
 
 
 # Hand-frozen local values.  The negative entries come straight from
@@ -185,6 +203,42 @@ class TestHilbert:
         with pytest.raises(ValueError):
             hilbert(0, 3, 2)
 
+    @pytest.mark.parametrize("v", [4, 1, -3, "2", 2.0])
+    def test_bad_place_rejected(self, v):
+        with pytest.raises(ValueError, match="not a place of Q"):
+            hilbert(3, 5, v)
+
+    def test_argument_checks_in_order(self):
+        # conversion to Fraction, then the nonzero check, then the place
+        with pytest.raises(TypeError):
+            hilbert(None, 0, 4)
+        for a, b, v in [(3, 0, INF), (Fraction(0), 5, 7), (0, 3, 4), (0, 3, "2")]:
+            with pytest.raises(ValueError, match="hilbert symbol needs nonzero arguments"):
+                hilbert(a, b, v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_rationals, wide_rationals)
+    def test_against_oracle_at_relevant_places(self, a, b):
+        for v in relevant_places(a, b):
+            assert hilbert(a, b, v) == oracle_hilbert(a, b, v), (a, b, v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_wide_rationals, random_wide_rationals,
+           st.sampled_from([INF, 2, 3, 5, 7, 11, 13, 1000003]))
+    def test_against_oracle_on_random_wide_rationals(self, a, b, v):
+        assert hilbert(a, b, v) == oracle_hilbert(a, b, v)
+
+    def test_dyadic_edge_cases(self):
+        # units 1, 3, 5 and 7 mod 8 (two lifts each, both signs) times 2^k,
+        # and over powers of 2
+        units = [s * u for s in (1, -1) for u in (1, 3, 5, 7, 9, 11, 13, 15)]
+        qs = [Fraction(u * 2**k) for u in units for k in range(4)]
+        qs += [Fraction(u, 2**j) for u in units for j in range(1, 4)]
+        for a in qs:
+            for b in qs:
+                for v in (INF, 2):
+                    assert hilbert(a, b, v) == oracle_hilbert(a, b, v), (a, b, v)
+
     @given(nonzero_rationals, nonzero_rationals, st.sampled_from([INF, 2, 3, 5, 7, 11, 13, 17]))
     def test_symmetry(self, a, b, v):
         assert hilbert(a, b, v) == hilbert(b, a, v)
@@ -230,6 +284,14 @@ class TestHilbert:
         a, b = squarefree_part(a), squarefree_part(b)
         everywhere_split = all(hilbert(a, b, v) == 1 for v in relevant_places(a, b))
         assert everywhere_split == oracle_conic_has_rational_point(a, b)
+
+
+class TestHasseSymbol:
+    @pytest.mark.parametrize("v", [INF, 2, 3, 7])
+    def test_short_forms_are_split(self, v):
+        assert hasse_symbol([], v) == 1
+        for z in (1, -1, 2, -8, 3, -21, 49, -98):
+            assert hasse_symbol([z], v) == 1
 
 
 class TestReciprocity:
