@@ -51,9 +51,6 @@ class BrauerClassQ:
     def __repr__(self):
         return f"BrauerClassQ(ram={self.ram!r})"
 
-    def is_split(self) -> bool:
-        return not self.ram
-
     def mul(self, other: "BrauerClassQ") -> "BrauerClassQ":
         return BrauerClassQ(self.ram ^ other.ram)
 

@@ -567,8 +567,8 @@ def alpha_class(q_class: BrauerClassQ, m: int, alpha_disc: Rational,
                 indicator_ext: str, L: ImagQuadField) -> BrauerClassQ:
     """Class of chi from an alpha-fixed Hermitian space: q_class^m times the
     class of (L, alpha_disc) for an orthogonal extension, and q_class^m
-    alone for a symplectic one. The class of (L, ldisc(q)) is q, so this is
-    the class of the discriminant alpha_combine returns."""
+    alone for a symplectic one. The class of (L, ldisc(q)) is q, so
+    l_disc of this class is ldisc(q)^m times alpha_disc, or ldisc(q)^m."""
     if indicator_ext not in ("+", "-"):
         raise ValueError(f"extension indicator must be '+' or '-', got {indicator_ext!r}")
     if not splits_in(q_class, L):
@@ -577,14 +577,6 @@ def alpha_class(q_class: BrauerClassQ, m: int, alpha_disc: Rational,
     if indicator_ext == "-":
         return cls
     return cls.mul(from_pair(L.field_disc, alpha_disc))
-
-
-def alpha_combine(q_class: BrauerClassQ, m: int, alpha_disc: Rational,
-                  indicator_ext: str, L: ImagQuadField) -> int:
-    """Discriminant representative from an alpha-fixed Hermitian space:
-    ldisc(q_class)^m times alpha_disc for an orthogonal extension, and
-    ldisc(q_class)^m alone for a symplectic one."""
-    return l_disc(alpha_class(q_class, m, alpha_disc, indicator_ext, L), L)
 
 
 def q8_class(degree: int, L: ImagQuadField) -> BrauerClassQ:

@@ -64,22 +64,6 @@ class HermitianGram:
         return len(self.entries)
 
 
-class DiagQuadFormQ:
-    """Diagonal quadratic form over Q."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: tuple):
-        coeffs = tuple(_as_fraction(c) for c in coefficients)
-        if not coeffs or any(c == 0 for c in coeffs):
-            raise ValueError("coefficients must be nonzero")
-        self.coefficients = coeffs
-
-    @property
-    def dim(self) -> int:
-        return len(self.coefficients)
-
-
 def identity_gram(field: ImagQuadField, n: int) -> HermitianGram:
     return diagonal_gram(field, [1] * n)
 
@@ -194,17 +178,15 @@ def isometric(h1: HermitianGram, h2: HermitianGram) -> bool:
     return h1.n == h2.n and delta(h1) == delta(h2)
 
 
-def transfer_quadratic(h: HermitianGram) -> DiagQuadFormQ:
+def transfer_quadratic(h: HermitianGram) -> tuple:
     """Q_H(v) = H(v,v) as a rational form on the 2n-dimensional Q-space.
 
     On the basis (b_i, sqrt(-delta0) b_i) for a diagonalizing basis (b_i),
-    the Gram is diag(a_1, delta0 a_1, ..., a_n, delta0 a_n).
+    the Gram is diagonal; this returns its coefficients
+    (a_1, delta0 a_1, ..., a_n, delta0 a_n).
     """
-    coeffs = []
-    for a in h.diagonal:
-        coeffs.append(a)
-        coeffs.append(h.field.delta0 * a)
-    return DiagQuadFormQ(tuple(coeffs))
+    d0 = h.field.delta0
+    return tuple(c for a in h.diagonal for c in (a, d0 * a))
 
 
 class QuadInvariants(NamedTuple):
@@ -214,9 +196,11 @@ class QuadInvariants(NamedTuple):
     signature: tuple
 
 
-def quad_invariants(q: DiagQuadFormQ) -> QuadInvariants:
-    """Dimension, signed squarefree disc, Hasse symbols, and signature."""
-    cs = q.coefficients
+def quad_invariants(cs: tuple) -> QuadInvariants:
+    """Dimension, signed squarefree disc, Hasse symbols, and signature of
+    the diagonal rational form with coefficients cs (ints or Fractions)."""
+    if not cs or 0 in cs:
+        raise ValueError("coefficients must be nonzero")
     m = len(cs)
     zs = [c.numerator * c.denominator for c in cs]
     hasse = {v: hasse_symbol(zs, v) for v in relevant_places(*cs)}
@@ -224,19 +208,18 @@ def quad_invariants(q: DiagQuadFormQ) -> QuadInvariants:
     return QuadInvariants(m, _disc_sign(m) * squarefree_part(*cs), hasse, (m - neg, neg))
 
 
-def clifford_invariant(
-    q: DiagQuadFormQ, inv: QuadInvariants | None = None
-) -> BrauerClassQ:
-    """Clifford (Witt) invariant of q as a Brauer class.
+def clifford_invariant(cs: tuple, inv: QuadInvariants | None = None) -> BrauerClassQ:
+    """Clifford (Witt) invariant, as a Brauer class, of the diagonal
+    rational form with coefficients cs.
 
     Convention: with s the product of the symbol classes (c_i, c_j) over
     i < j and d the signed disc, the full Clifford algebra class is s for
     dim 1,2 mod 8, s*(-1,-d) for 3,4, s*(-1,-1) for 5,6, s*(-1,d) for 7,0.
-    s ramifies where the Hasse symbol is -1; pass the invariants of q when
-    they are at hand.
+    s ramifies where the Hasse symbol is -1; pass quad_invariants(cs) when
+    it is at hand.
     """
     if inv is None:
-        inv = quad_invariants(q)
+        inv = quad_invariants(cs)
     s = BrauerClassQ(frozenset(v for v, e in inv.hasse.items() if e == -1))
     d = inv.disc
     r = inv.dim % 8

@@ -1,7 +1,8 @@
 """The imaginary quadratic field L = Q(sqrt(-delta0)) over K = Q.
 
-Elements, conjugation and norms, splitting behavior of rational
-primes, and membership in the norm group N(L*) <= Q*.
+The field and its elements as value types (the Gram loader and the
+demos build them; udisc does no arithmetic in L), the splitting behavior
+of rational primes, and membership in the norm group N(L*) <= Q*.
 """
 
 from __future__ import annotations
@@ -57,10 +58,6 @@ class ImagQuadField:
             return -self.delta0
         return -4 * self.delta0
 
-    def sqrt_gen(self) -> "QuadElem":
-        """The element sqrt(-delta0)."""
-        return QuadElem(Fraction(0), Fraction(1), self)
-
     def elem(self, x: Rational, y: Rational = 0) -> "QuadElem":
         return QuadElem(_as_fraction(x), _as_fraction(y), self)
 
@@ -70,7 +67,7 @@ class ImagQuadField:
 
 class QuadElem:
     """x + y*sqrt(-delta0), with exact rational coordinates; equal and
-    hashed by value."""
+    hashed by value. A value type: the Gram elimination reads x and y."""
 
     __slots__ = ("x", "y", "field")
 
@@ -86,56 +83,6 @@ class QuadElem:
 
     def __hash__(self):
         return hash((self.x, self.y, self.field))
-
-    def conj(self) -> "QuadElem":
-        return QuadElem(self.x, -self.y, self.field)
-
-    def norm(self) -> Fraction:
-        return self.x * self.x + self.field.delta0 * self.y * self.y
-
-    def trace(self) -> Fraction:
-        return 2 * self.x
-
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
-
-    def _coerce(self, other) -> "QuadElem":
-        if isinstance(other, QuadElem):
-            if other.field != self.field:
-                raise ValueError("mixed fields")
-            return other
-        return QuadElem(_as_fraction(other), Fraction(0), self.field)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return QuadElem(self.x + o.x, self.y + o.y, self.field)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return QuadElem(self.x - o.x, self.y - o.y, self.field)
-
-    def __neg__(self):
-        return QuadElem(-self.x, -self.y, self.field)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        d = self.field.delta0
-        return QuadElem(
-            self.x * o.x - d * self.y * o.y,
-            self.x * o.y + self.y * o.x,
-            self.field,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        n = o.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero element")
-        c = o.conj()
-        num = self * c
-        return QuadElem(num.x / n, num.y / n, self.field)
 
     def __repr__(self):
         return f"({self.x} + {self.y}*sqrt(-{self.field.delta0}))"

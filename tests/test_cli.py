@@ -610,6 +610,100 @@ class TestDeduceCommand:
         assert again == rep
 
 
+# relations of the two kinds no corpus sheet carries, over Q(sqrt-3)
+SHEET_INDUCTION = {
+    "id": "induced",
+    "character": {"degree": 2, "delta0": 3,
+                  "group_order_factors": {"2": 1, "3": 1, "5": 1}},
+    "relations": [{"kind": "induction", "psi_class_ram": ["inf", 5],
+                   "index": 3, "field_degree_odd": True}],
+}
+
+SHEET_TENSOR = {
+    "id": "tensor",
+    "character": {"degree": 4, "delta0": 3,
+                  "group_order_factors": {"2": 2, "3": 1, "5": 1}},
+    "relations": [{"kind": "tensor", "class_ram": [2, 5], "psi_degree": 3}],
+}
+
+
+class TestRelationKinds:
+    """Induction and tensor relations read from a fact file.
+
+    By hand: -5 and 5 are inert in Q(sqrt-3), and (-3,-5)_v = -1 exactly
+    at inf and 5 ((-5|3) = 1, and both are units at 2 with -3 = 5 mod 8),
+    so the odd-index induction from the class ram{inf,5} has disc -5;
+    (-2,-5)_Q also ramifies exactly at inf and 5 ((-2|5) = -1, and at 2
+    its factors (2,-5)_2 and (-1,-5)_2 are both -1). The tensor class
+    ram{2,5}^3 is ram{2,5}, the class of (-3,10)_Q since 2 and 5 are inert
+    with odd valuation in 10; (2,5)_Q ramifies at 5 ((2|5) = -1) and at 2
+    ((2,u)_2 = -1 for u = 5 mod 8)."""
+
+    def test_induction_answer(self, capsys, tmp_path):
+        path = write_json(tmp_path, "ind.json", SHEET_INDUCTION)
+        rc, out, _ = run(capsys, "deduce", path)
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[0] == "disc = -5, Delta = (-2,-5)_Q, ram{inf,5}"
+        assert [ln.split(" - ")[1] for ln in lines[3:]] == ["induction from subgroup"] * 3
+        rc, out, _ = run(capsys, "deduce", "--json", path)
+        assert rc == 0
+        assert (json.loads(out)["disc"], json.loads(out)["ram"]) == (-5, ["inf", 5])
+
+    def test_tensor_answer(self, capsys, tmp_path):
+        path = write_json(tmp_path, "ten.json", SHEET_TENSOR)
+        rc, out, _ = run(capsys, "deduce", path)
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[0] == "disc = 10, Delta = (2,5)_Q, ram{2,5}"
+        assert [ln.split(" - ")[1] for ln in lines[3:]] == ["tensor factorisation"] * 3
+
+    def test_even_index_is_the_trivial_class(self, capsys, tmp_path):
+        payload = json.loads(json.dumps(SHEET_INDUCTION))
+        payload["relations"][0]["index"] = 2
+        payload["character"]["degree"] = 4
+        payload["character"]["group_order_factors"]["2"] = 2
+        rc, out, _ = run(capsys, "deduce", write_json(tmp_path, "even.json", payload))
+        assert rc == 0
+        assert out.splitlines()[0] == "disc = 1, Delta = (1,1)_Q, ram{}"
+        # at degree 2 the archimedean place must ramify, and the trivial
+        # class does not
+        payload["character"]["degree"] = 2
+        rc, out, err = run(capsys, "deduce", write_json(tmp_path, "even.json", payload))
+        assert (rc, out) == (1, "")
+        assert err == ("error: contradiction at place inf: rule 'infinite place parity'"
+                       " gives Ramified, rule 'induction from subgroup' gives Unramified\n")
+
+    def test_even_field_degree_gives_no_conclusion(self, capsys, tmp_path):
+        payload = json.loads(json.dumps(SHEET_INDUCTION))
+        payload["relations"][0]["field_degree_odd"] = False
+        rc, out, err = run(capsys, "deduce", write_json(tmp_path, "deg.json", payload))
+        assert (rc, out) == (1, "")
+        assert err == ("error: no conclusion (even relative field degree gives"
+                       " only local information)\n")
+
+    @pytest.mark.parametrize("base,field,value,msg", [
+        (SHEET_INDUCTION, "psi_class_ram", [9],
+         'relations[0].psi_class_ram[0]: expected "inf" or a prime'),
+        (SHEET_INDUCTION, "psi_class_ram", ["inf"],
+         "relations[0].psi_class_ram: ramification set must have even size: {'inf'}"),
+        (SHEET_INDUCTION, "psi_class_ram", "inf",
+         "relations[0].psi_class_ram: expected a list of places"),
+        (SHEET_INDUCTION, "index", 0, "relations[0].index: expected a positive integer"),
+        (SHEET_INDUCTION, "index", "3", "relations[0].index: expected a positive integer"),
+        (SHEET_TENSOR, "psi_degree", 0,
+         "relations[0].psi_degree: expected a positive integer"),
+        (SHEET_TENSOR, "psi_degree", True,
+         "relations[0].psi_degree: expected a positive integer"),
+    ])
+    def test_malformed_field(self, tmp_path, base, field, value, msg):
+        payload = json.loads(json.dumps(base))
+        payload["relations"][0][field] = value
+        with pytest.raises(FactFileError) as e:
+            load_fact_file(write_json(tmp_path, "bad.json", payload))
+        assert str(e.value) == msg
+
+
 class TestCorpusCommand:
     def test_shipped_corpus_all_pass(self, capsys):
         rc, out, _ = run(capsys, "corpus")

@@ -27,7 +27,6 @@ from udisc.deduce import (
     UnderDetermined,
     Unique,
     alpha_class,
-    alpha_combine,
     apply_local_rules,
     candidate_places,
     combine_induction,
@@ -918,29 +917,31 @@ class TestCombineTensor:
 
 
 class TestAlphaCombine:
+    """The alpha rule's discriminant, read off its class by l_disc."""
+
     def test_worked_triple_cover_character(self):
-        assert alpha_combine(from_pair(-3, 10), 58311, -21, "+", Q3) == -10
+        assert l_disc(alpha_class(from_pair(-3, 10), 58311, -21, "+", Q3), Q3) == -10
 
     def test_trivial_quaternion_class_returns_alpha_disc(self):
-        assert alpha_combine(cls(), 5, 5, "+", Q3) == 5
+        assert l_disc(alpha_class(cls(), 5, 5, "+", Q3), Q3) == 5
 
     def test_symplectic_extension_with_even_exponent(self):
-        assert alpha_combine(from_pair(-3, 10), 4, 7, "-", Q3) == 1
+        assert l_disc(alpha_class(from_pair(-3, 10), 4, 7, "-", Q3), Q3) == 1
 
     def test_symplectic_extension_with_odd_exponent(self):
-        assert alpha_combine(from_pair(-3, 10), 3, 7, "-", Q3) == 10
+        assert l_disc(alpha_class(from_pair(-3, 10), 3, 7, "-", Q3), Q3) == 10
 
     def test_harada_norton_inputs(self):
-        assert alpha_combine(cls(), 328125, -33, "+", Q19) == -3
-        assert alpha_combine(cls(), 680960, 33, "+", Q10) == 3
+        assert l_disc(alpha_class(cls(), 328125, -33, "+", Q19), Q19) == -3
+        assert l_disc(alpha_class(cls(), 680960, 33, "+", Q10), Q10) == 3
 
     def test_square_alpha_disc_collapses(self):
-        assert alpha_combine(cls(), 61380, 49, "+", Q3) == 1
+        assert l_disc(alpha_class(cls(), 61380, 49, "+", Q3), Q3) == 1
 
     def test_unsplit_class_rejected(self):
         # from_pair(-1,-1) ramifies at 2, which splits in Q(sqrt(-7))
         with pytest.raises(ValueError, match="splitting field"):
-            alpha_combine(from_pair(-1, -1), 3, 1, "+", Q7)
+            alpha_class(from_pair(-1, -1), 3, 1, "+", Q7)
 
 
 class TestAlphaClass:
@@ -958,8 +959,9 @@ class TestAlphaClass:
     @pytest.mark.parametrize("ind", ["+", "-"])
     @pytest.mark.parametrize("alpha", [5, -21, 49, -33])
     def test_is_the_class_of_alpha_combine(self, m, ind, alpha):
+        # the class is the one of (L, t) for its discriminant t
         for q, L in ((from_pair(-3, 10), Q3), (cls(INF, 7), Q1), (cls(), Q19)):
-            t = alpha_combine(q, m, alpha, ind, L)
+            t = l_disc(alpha_class(q, m, alpha, ind, L), L)
             assert alpha_class(q, m, alpha, ind, L) == from_pair(L.field_disc, t)
 
     def test_unsplit_class_rejected_for_any_exponent(self):
