@@ -61,9 +61,10 @@ class BrauerClassQ:
         return render_places(self.ram)
 
 
-def from_pair(a: Rational, b: Rational) -> BrauerClassQ:
-    """Class of the symbol algebra (a,b)_Q."""
-    ram = frozenset(v for v in relevant_places(a, b) if hilbert(a, b, v) == -1)
+def from_pair(a: Rational, b: Rational, places: list | None = None) -> BrauerClassQ:
+    """Class of the symbol algebra (a,b)_Q; places, when given, must hold
+    every place where it may ramify (relevant_places(a, b) does)."""
+    ram = frozenset(v for v in places or relevant_places(a, b) if hilbert(a, b, v) == -1)
     return BrauerClassQ(ram)
 
 

@@ -27,12 +27,13 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .arith import FactoringLimit, factor, is_prime
 from .brauer import BrauerClassQ, from_pair, pair_presentation
-from .quadfield import ImagQuadField, QuadElem, is_norm
+from .quadfield import ImagQuadField, is_norm
 from .symbols import INF, hilbert, place_sort_key, relevant_places, render_places
 
 if TYPE_CHECKING:
@@ -383,22 +384,25 @@ def _load_gram(v, path):
     n = len(rows)
     if n > MAX_GRAM_DIM:
         _fail(path + ".entries", "%d rows, more than the limit of %d" % (n, MAX_GRAM_DIM))
-    entries = []
+    # H = s^-1 (X + Y sqrt(-delta0)), s the lcm of the reduced denominators
+    dens = set()
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             _fail("%s.entries[%d]" % (path, i), "expected a row of %d entries" % n)
-        out = []
         for j, cell in enumerate(row):
-            if not (isinstance(cell, list) and len(cell) == 4
-                    and all(_is_int(x) for x in cell)):
+            # json.loads makes exact lists, ints and bools: this is _is_int, inlined
+            a, b, c, d = cell if type(cell) is list and len(cell) == 4 else (None,) * 4
+            if not (type(a) is int and type(b) is int and type(c) is int and type(d) is int):
                 _fail("%s.entries[%d][%d]" % (path, i, j),
                       "expected [x_num, x_den, y_num, y_den]")
-            if cell[1] == 0 or cell[3] == 0:
+            if b == 0 or d == 0:
                 _fail("%s.entries[%d][%d]" % (path, i, j), "zero denominator")
-            out.append(QuadElem(Fraction(cell[0], cell[1]),
-                                Fraction(cell[2], cell[3]), L))
-        entries.append(tuple(out))
-    return _wrap(path, HermitianGram, L, tuple(entries))
+            if b != 1 or d != 1:
+                dens.update((b // gcd(a, b), d // gcd(c, d)))
+    s = lcm(*dens)
+    X = tuple(tuple(c[0] * s // c[1] for c in row) for row in rows)
+    Y = tuple(tuple(c[2] * s // c[3] for c in row) for row in rows)
+    return _wrap(path, HermitianGram._scaled, L, s, X, Y)
 
 
 def _load_expected(v, path):

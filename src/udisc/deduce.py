@@ -443,7 +443,8 @@ def _apply_relations(sheet: CharacterFactSheet, asg: _Assignment):
             asg.assign_class(cls, "restriction to subgroup", _CIT_RESTRICTION)
         elif isinstance(rel, InductionRelation):
             cls = combine_induction(rel.psi_delta, rel.index, rel.field_degree_odd)
-            asg.assign_class(cls, "induction from subgroup", _CIT_INDUCTION)
+            if cls is not None:
+                asg.assign_class(cls, "induction from subgroup", _CIT_INDUCTION)
         elif isinstance(rel, TensorRelation):
             cls = combine_tensor(rel.delta_chi, rel.psi_degree)
             asg.assign_class(cls, "tensor factorisation", _CIT_TENSOR)
@@ -545,14 +546,13 @@ def combine_restriction(L: ImagQuadField, constituents) -> BrauerClassQ:
 
 def combine_induction(
     psi_delta: BrauerClassQ, index: int, field_degree_odd: bool
-) -> BrauerClassQ:
+) -> BrauerClassQ | None:
     """Class of an induced character: trivial for even subgroup index, the
-    (already corestricted) class of psi for odd index. Needs an odd relative
-    degree between the character fields."""
+    (already corestricted) class of psi for odd index. None, deciding
+    nothing, for an even relative degree between the character fields,
+    which gives only local information."""
     if not field_degree_odd:
-        raise DeduceError(
-            "no conclusion (even relative field degree gives only local information)"
-        )
+        return None
     if index % 2 == 0:
         return BrauerClassQ(frozenset())
     return psi_delta

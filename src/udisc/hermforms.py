@@ -9,11 +9,12 @@ The discriminant of an n-dimensional form is the square class of
 is the quaternion class (field_disc, disc)_Q. Transfer to a 2n-dimensional
 rational quadratic form preserves that class as the Clifford invariant.
 
-A HermitianGram runs one congruence elimination when it is built, on integer
-coordinates without fractions, and keeps the diagonal; det(H) is its product.
-The transfer's Hasse symbols come from ``symbols.hasse_symbol``, which reads
-each coefficient once per place, so what remains costly is factoring every
-pivot to find those places.
+A HermitianGram keeps H as integer matrices and runs one fraction-free
+congruence elimination when it is built; det(H) is the diagonal's product.
+The transfer is <1, delta0> (x) <a_1, ..., a_n>, so its Hasse symbol at v is
+(det, -delta0)_v (delta0, -1)_v^(n(n-1)/2). Only det(H) and delta0 are
+factored, and ``symbols.hasse_symbol`` reads the 2n coefficients at the
+places where that symbol or delta may be -1, a set isometries keep.
 """
 
 import enum
@@ -21,16 +22,17 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from .arith import factor, prime_factors
 from .brauer import BrauerClassQ, from_pair, l_disc
 from .quadfield import ImagQuadField, PrimeBehavior, QuadElem, prime_behavior
 from .symbols import (
+    INF,
     _as_fraction,
     _unit_mod,
     _val_unit,
     hasse_symbol,
     legendre,
     relevant_places,
-    squarefree_part,
 )
 
 
@@ -40,28 +42,46 @@ class SquareTest(enum.Enum):
 
 
 class HermitianGram:
-    """Gram matrix of a nondegenerate Hermitian form."""
+    """Gram matrix of a nondegenerate Hermitian form, kept as the entries'
+    least common denominator s and integer matrices X, Y (tuples of rows):
+    entries = (X + Y sqrt(-delta0)) / s."""
 
-    __slots__ = ("field", "entries", "diagonal")
+    __slots__ = ("field", "_s", "_x", "_y", "diagonal")
 
     def __init__(self, field: ImagQuadField, entries: tuple):
-        n = len(entries)
-        if n < 1:
-            raise ValueError("empty Gram matrix")
         for row in entries:
-            if len(row) != n:
+            if len(row) != len(entries):
                 raise ValueError("Gram matrix must be square")
-            for e in row:
-                if not isinstance(e, QuadElem) or e.field != field:
-                    raise ValueError("entries must be elements of the given field")
-        self.field = field
-        self.entries = entries
+            if not all(isinstance(e, QuadElem) and e.field == field for e in row):
+                raise ValueError("entries must be elements of the given field")
+        s = math.lcm(*{q.denominator for row in entries for a in row for q in (a.x, a.y)})
+        self._build(field, s,
+                    tuple(tuple(a.x.numerator * (s // a.x.denominator) for a in row)
+                          for row in entries),
+                    tuple(tuple(a.y.numerator * (s // a.y.denominator) for a in row)
+                          for row in entries))
+
+    @classmethod
+    def _scaled(cls, field: ImagQuadField, s: int, X: tuple, Y: tuple) -> "HermitianGram":
+        # the loader's constructor: it builds no entry
+        h = cls.__new__(cls)
+        h._build(field, s, X, Y)
+        return h
+
+    def _build(self, field, s, X, Y):
+        self.field, self._s, self._x, self._y = field, s, X, Y
         # the one elimination's pivots; it also rejects non-Hermitian or degenerate H
-        self.diagonal = _congruence_diagonal(entries, field)
+        self.diagonal = _congruence_diagonal(s, X, Y, field.delta0)
+
+    @property
+    def entries(self) -> tuple:
+        s, L = self._s, self.field
+        return tuple(tuple(QuadElem(Fraction(x, s), Fraction(y, s), L) for x, y in zip(*r))
+                     for r in zip(self._x, self._y))
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self._x)
 
 
 def identity_gram(field: ImagQuadField, n: int) -> HermitianGram:
@@ -77,16 +97,16 @@ def diagonal_gram(field: ImagQuadField, coeffs) -> HermitianGram:
     return HermitianGram(field, ent)
 
 
-def _congruence_diagonal(entries, field: ImagQuadField) -> tuple:
-    # H -> G^T H sigma(G) with N(det G) = 1, so the pivots multiply to det(H).
-    # Bareiss on B = s*H (s: lcm of all denominators) as integer pairs x + y*r,
-    # r = sqrt(-delta0): after step e, B_ij for i, j > e is the minor on rows
-    # 0..e,i and columns 0..e,j, so dividing by prev, the previous leading minor,
-    # is exact (Sylvester's identity); rows and columns before e are not read.
-    n, d = len(entries), field.delta0
-    s = math.lcm(*{q.denominator for row in entries for a in row for q in (a.x, a.y)})
-    X = [[a.x.numerator * (s // a.x.denominator) for a in row] for row in entries]
-    Y = [[a.y.numerator * (s // a.y.denominator) for a in row] for row in entries]
+def _congruence_diagonal(s: int, X: tuple, Y: tuple, d: int) -> tuple:
+    # H = (X + Y r)/s with r = sqrt(-d) -> G^T H sigma(G) with N(det G) = 1, so
+    # the pivots multiply to det(H). Bareiss on B = s*H as integer pairs: after
+    # step e, B_ij for i, j > e is the minor on rows 0..e,i and columns 0..e,j,
+    # so dividing by prev, the previous leading minor, is exact (Sylvester's
+    # identity); rows and columns before e are not read.
+    n = len(X)
+    if n < 1:
+        raise ValueError("empty Gram matrix")
+    X, Y = [list(r) for r in X], [list(r) for r in Y]
     for i in range(n):
         for j in range(i, n):
             if X[j][i] != X[i][j] or Y[j][i] != -Y[i][j]:
@@ -155,9 +175,10 @@ def signed_det(h: HermitianGram) -> Fraction:
     return _disc_sign(h.n) * math.prod(h.diagonal)
 
 
-def delta(h: HermitianGram) -> BrauerClassQ:
-    """Discriminant algebra class (field_disc, signed det)_Q."""
-    return from_pair(h.field.field_disc, signed_det(h))
+def delta(h: HermitianGram, places: list | None = None) -> BrauerClassQ:
+    """Discriminant algebra class (field_disc, signed det)_Q; places, when
+    given, holds every place where it may ramify."""
+    return from_pair(h.field.field_disc, signed_det(h), places)
 
 
 def disc(h: HermitianGram) -> int:
@@ -196,16 +217,24 @@ class QuadInvariants(NamedTuple):
     signature: tuple
 
 
-def quad_invariants(cs: tuple) -> QuadInvariants:
+def quad_invariants(cs: tuple, places: list | None = None) -> QuadInvariants:
     """Dimension, signed squarefree disc, Hasse symbols, and signature of
-    the diagonal rational form with coefficients cs (ints or Fractions)."""
+    the diagonal rational form with coefficients cs (ints or Fractions), read
+    at relevant_places(*cs) or at places: INF, then every prime where the
+    Hasse symbol may be -1 or prod(cs) may have odd valuation."""
     if not cs or 0 in cs:
         raise ValueError("coefficients must be nonzero")
-    m = len(cs)
-    zs = [c.numerator * c.denominator for c in cs]
-    hasse = {v: hasse_symbol(zs, v) for v in relevant_places(*cs)}
+    places = places or relevant_places(*cs)
+    m, zs = len(cs), [c.numerator * c.denominator for c in cs]
     neg = sum(1 for z in zs if z < 0)
-    return QuadInvariants(m, _disc_sign(m) * squarefree_part(*cs), hasse, (m - neg, neg))
+    t, P = _disc_sign(m) * (-1) ** neg, abs(math.prod(zs))
+    for p in places[1:]:
+        k = 0
+        while P % p == 0:
+            P, k = P // p, k ^ 1
+        t *= p if k else 1
+    hasse = {v: hasse_symbol(zs, v) for v in places}
+    return QuadInvariants(m, t, hasse, (m - neg, neg))
 
 
 def clifford_invariant(cs: tuple, inv: QuadInvariants | None = None) -> BrauerClassQ:
@@ -242,19 +271,27 @@ class FormInvariants(NamedTuple):
     clifford: BrauerClassQ
 
 
-def form_invariants(h: HermitianGram) -> FormInvariants:
-    """Everything here comes from the one diagonalization h ran when it was
-    built: delta and disc from det(h), the product of the diagonal, and the
-    transfer's invariants from the diagonal itself.
+def _places(h: HermitianGram) -> list:
+    # inf, 2, the primes of delta0 and the inert primes at which det has odd
+    # valuation: at any other p, det is a local norm from L and delta0, -1 are
+    # units, so delta and the Hasse symbol are +1 there
+    det, L = signed_det(h), h.field
+    inert = {p for m in (det.numerator, det.denominator) for p, e in factor(m)
+             if e % 2 and prime_behavior(L, p) is PrimeBehavior.INERT}
+    return [INF] + sorted({2, *prime_factors(L.delta0), *inert})
 
-    clifford == delta (`clifford_ok` in the report) still checks the
-    transfer identity, but both sides now come from that one diagonal, so
-    it no longer checks the diagonalization against an independent
-    determinant. Those independent checks are `oracle_det` in the tests
+
+def form_invariants(h: HermitianGram) -> FormInvariants:
+    """delta and disc from det(h), the product of the diagonal h built, and
+    the transfer's invariants from that diagonal, read at _places(h).
+
+    clifford == delta (`clifford_ok` in the report) checks the transfer
+    identity, not the diagonalization: that is `oracle_det` in the tests
     and `oracle.determinant` in the benchmark."""
-    dlt = delta(h)
+    places = _places(h)
+    dlt = delta(h, places)
     q = transfer_quadratic(h)
-    inv = quad_invariants(q)
+    inv = quad_invariants(q, places)
     return FormInvariants(
         dlt, l_disc(dlt, h.field), is_positive_definite(h), inv,
         clifford_invariant(q, inv)

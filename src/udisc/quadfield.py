@@ -1,7 +1,7 @@
 """The imaginary quadratic field L = Q(sqrt(-delta0)) over K = Q.
 
-The field and its elements as value types (the Gram loader and the
-demos build them; udisc does no arithmetic in L), the splitting behavior
+The field and its elements as value types (Gram matrices and the demos
+build them; udisc does no arithmetic in L), the splitting behavior
 of rational primes, and membership in the norm group N(L*) <= Q*.
 """
 
@@ -67,7 +67,7 @@ class ImagQuadField:
 
 class QuadElem:
     """x + y*sqrt(-delta0), with exact rational coordinates; equal and
-    hashed by value. A value type: the Gram elimination reads x and y."""
+    hashed by value. A value type: HermitianGram reads x and y."""
 
     __slots__ = ("x", "y", "field")
 

@@ -4,7 +4,9 @@ Expected strings are frozen by hand from the published tables and from
 direct Hilbert-symbol computations; the CLI must reproduce them exactly.
 """
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -28,7 +30,8 @@ from udisc.cli import (
     report_from_json,
     report_to_json,
 )
-from udisc.quadfield import ImagQuadField
+from udisc.hermforms import HermitianGram
+from udisc.quadfield import ImagQuadField, QuadElem
 
 
 def run(capsys, *argv):
@@ -261,6 +264,51 @@ class TestHformCommand:
         assert lines[0] == "disc=-1 ram{inf,2} clifford=OK"
         assert "transfer dim=4 disc=1 signature=(4,0) definite=true" in lines
         assert "hasse inf:1 2:1 5:1" in lines
+
+    def test_hasse_line_is_an_isometry_invariant(self, capsys, tmp_path):
+        # [[49,7],[7,2]] = G^T G for G = [[7,1],[0,1]], isometric to the
+        # identity; 7 splits in Q(sqrt-3), so it is not a place of the line
+        lines = []
+        for rows in ([[1, 0], [0, 1]], [[49, 7], [7, 2]]):
+            payload = {"id": "iso", "gram": {"delta0": 3, "entries": [
+                [[x, 1, 0, 1] for x in row] for row in rows]}}
+            rc, out, _ = run(capsys, "hform", write_json(tmp_path, "iso.json", payload))
+            assert rc == 0
+            lines.append(out.splitlines()[2])
+        # (1, -3)_v (3, -1)_v = (3, -1)_v: -1 at 2 and 3
+        assert lines == ["hasse inf:1 2:-1 3:-1"] * 2
+
+    def test_only_det_and_the_field_are_factored(self, monkeypatch, tmp_path):
+        # a dense n = 8 form over Q(sqrt-7); the pivots are ratios of leading
+        # minors and the transfer has 16 coefficients, none of them factored
+        rng = random.Random(8)
+        n, d0 = 8, 7
+        cells = [[None] * n for _ in range(n)]
+        for i in range(n):
+            cells[i][i] = [rng.randint(-40, 40) or 1, rng.randint(1, 6), 0, 1]
+            for j in range(i + 1, n):
+                x, y = [rng.randint(-9, 9), rng.randint(1, 4)], [rng.randint(-9, 9), 1]
+                cells[i][j], cells[j][i] = x + y, x + [-y[0], 1]
+        path = write_json(tmp_path, "dense.json",
+                          {"id": "dense", "gram": {"delta0": d0, "entries": cells}})
+        det = math.prod(load_fact_file(path).gram.diagonal)
+        arith._factor_abs.cache_clear()
+        arith.is_prime.cache_clear()
+        factored = []
+        real = arith._factor_abs
+
+        def counted(m):
+            factored.append(m)
+            return real(m)
+
+        monkeypatch.setattr(arith, "_factor_abs", counted)
+        hform_report(path)
+        # delta0 = 7, field_disc = -7: their divisors, primes of the places
+        # found, and det's numerator and denominator
+        allowed = {abs(det.numerator), det.denominator}
+        assert allowed <= set(factored)
+        assert all(m in allowed or 14 % m == 0 or arith.is_prime(m) for m in factored), (
+            sorted(set(factored)))
 
     def test_class_represented_by_a_split_prime(self, capsys, tmp_path):
         # (3) over Q(sqrt-14): the class ram{2,7} of (-56, 3)_Q has no
@@ -675,12 +723,15 @@ class TestRelationKinds:
                        " gives Ramified, rule 'induction from subgroup' gives Unramified\n")
 
     def test_even_field_degree_gives_no_conclusion(self, capsys, tmp_path):
-        payload = json.loads(json.dumps(SHEET_INDUCTION))
-        payload["relations"][0]["field_degree_odd"] = False
-        rc, out, err = run(capsys, "deduce", write_json(tmp_path, "deg.json", payload))
-        assert (rc, out) == (1, "")
-        assert err == ("error: no conclusion (even relative field degree gives"
-                       " only local information)\n")
+        # the relation decides nothing, and the sheet's other facts still do
+        payload = json.loads(Path(corpus_path("o10p2_chi33")).read_text())
+        payload["relations"] = [{"kind": "induction", "psi_class_ram": ["inf", 5],
+                                 "index": 3, "field_degree_odd": False}]
+        path = write_json(tmp_path, "deg.json", payload)
+        rc, out, err = run(capsys, "deduce", path)
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[0] == "disc = -1, Delta = (-1,-3)_Q, ram{inf,3}"
+        assert "induction" not in out
 
     @pytest.mark.parametrize("base,field,value,msg", [
         (SHEET_INDUCTION, "psi_class_ram", [9],
@@ -857,6 +908,48 @@ class TestLoader:
         assert ff.gram is not None
         assert ff.gram.field == ImagQuadField(10)
         assert ff.expected["kind"] == "hform"
+
+    def test_gram_agrees_with_the_public_constructor(self, tmp_path):
+        # cells with negative and unreduced denominators, and the mirror cell
+        # written apart from its conjugate: the loader's integer matrices give
+        # the entries and pivots that HermitianGram(field, entries) gives
+        rng = random.Random(23)
+        dens = [1, -1, 2, -2, 3, 4, -6, 12]
+        for _ in range(40):
+            d0 = rng.choice([1, 2, 3, 5, 7, 10, 15])
+            n = rng.randint(1, 6)
+            cells = [[None] * n for _ in range(n)]
+            for i in range(n):
+                k = rng.choice(dens)
+                cells[i][i] = [(rng.randint(-9, 9) or 1) * k, rng.choice(dens) * k, 0,
+                               rng.choice(dens)]
+                for j in range(i + 1, n):
+                    a, b, c, d = (rng.randint(-6, 6), rng.choice(dens),
+                                  rng.randint(-6, 6), rng.choice(dens))
+                    k = rng.choice([1, 2, -3])
+                    cells[i][j], cells[j][i] = [a, b, c, d], [a * k, b * k, -c, d]
+            path = write_json(tmp_path, "g.json",
+                              {"id": "g", "gram": {"delta0": d0, "entries": cells}})
+            L = ImagQuadField(d0)
+            want = tuple(tuple(QuadElem(Fraction(a, b), Fraction(c, d), L)
+                               for a, b, c, d in row) for row in cells)
+            ff = load_fact_file(path)
+            assert ff.gram.entries == want
+            assert ff.gram.diagonal == HermitianGram(L, want).diagonal
+
+    @pytest.mark.parametrize("entries,msg", [
+        ([], "gram: empty Gram matrix"),
+        ([[[1, 1, 0, 1], [1, 1, 0, 1]], [[2, 1, 0, 1], [1, 1, 0, 1]]],
+         "gram: not Hermitian: entry (1,0) is not the conjugate of entry (0,1)"),
+        ([[[1, 1, 0, 1], [0, 1, 0, 1]], [[0, 1, 0, 1], [0, 1, 0, 1]]],
+         "gram: degenerate Hermitian Gram matrix"),
+    ])
+    def test_gram_matrix_errors(self, tmp_path, entries, msg):
+        path = write_json(tmp_path, "g.json",
+                          {"id": "g", "gram": {"delta0": 1, "entries": entries}})
+        with pytest.raises(FactFileError) as e:
+            load_fact_file(path)
+        assert str(e.value) == msg
 
     @pytest.mark.parametrize("entries,msg", [
         ([[[1, 1, 0, 1], [0, 1, 0, 1]], [[0, 1, 0, 1]]],

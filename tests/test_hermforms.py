@@ -23,6 +23,7 @@ from udisc.hermforms import (
     diagonal_gram,
     diagonalize,
     disc,
+    form_invariants,
     identity_gram,
     is_positive_definite,
     isometric,
@@ -32,7 +33,7 @@ from udisc.hermforms import (
     unimodular_reduce_at,
 )
 from udisc.quadfield import ImagQuadField, QuadElem, norm_class
-from udisc.symbols import INF, relevant_places, squarefree_part
+from udisc.symbols import INF, hilbert, relevant_places, squarefree_part
 
 from quadarith import add, conj, div, is_zero, mul, neg, qsum, sqrt_gen, sub
 from test_symbols import oracle_hilbert
@@ -279,14 +280,18 @@ class TestEliminationOracle:
 
     @staticmethod
     def agree(ent, field):
+        # the kernel's input: H = s^-1 (X + Y sqrt(-delta0)) on integers
+        s = math.lcm(*(q.denominator for row in ent for a in row for q in (a.x, a.y)))
+        X = tuple(tuple(int(a.x * s) for a in row) for row in ent)
+        Y = tuple(tuple(int(a.y * s) for a in row) for row in ent)
         try:
             want = oracle_congruence_diagonal(ent, field)
         except ValueError as e:
             assert str(e) == "degenerate Hermitian Gram matrix"
             with pytest.raises(ValueError, match="^degenerate Hermitian Gram matrix$"):
-                _congruence_diagonal(ent, field)
+                _congruence_diagonal(s, X, Y, field.delta0)
             return False
-        got = _congruence_diagonal(ent, field)
+        got = _congruence_diagonal(s, X, Y, field.delta0)
         assert got == want
         assert all(type(a) is Fraction for a in got)
         return True
@@ -438,9 +443,34 @@ class TestQuadInvariants:
             inv = quad_invariants(tuple(cs))
             places = relevant_places(*cs)
             assert list(inv.hasse) == places
+            m = len(cs)
+            assert inv.disc == (-1) ** (m * (m - 1) // 2) * squarefree_part(*cs)
             for v in places:
                 assert inv.hasse[v] == math.prod(
                     oracle_hilbert(a, b, v) for i, a in enumerate(cs) for b in cs[i + 1:])
+
+
+class TestTransferPlaces:
+    """form_invariants reads the transfer at inf, 2, the primes of delta0 and
+    the primes inert in L where det has odd valuation; the Hasse symbol is
+    (det, -delta0)_v (delta0, -1)_v^(n(n-1)/2) at every place."""
+
+    @pytest.mark.parametrize("d0", [1, 2, 3, 5, 7, 10, 15])
+    def test_against_the_full_place_set(self, d0):
+        rng = random.Random(200 + d0)
+        field = ImagQuadField(d0)
+        for _ in range(12):
+            n = rng.randint(1, 6)
+            h = rand_hermitian(rng, field, n)
+            det = oracle_det(h.entries).x
+            k = n * (n - 1) // 2
+            full = quad_invariants(transfer_quadratic(h))
+            got = form_invariants(h).transfer
+            assert set(got.hasse) <= set(full.hasse)
+            assert all(full.hasse[v] == 1 for v in full.hasse if v not in got.hasse)
+            for v, s in got.hasse.items():
+                assert s == hilbert(det, -d0, v) * hilbert(d0, -1, v) ** k
+            assert got._replace(hasse=None) == full._replace(hasse=None)
 
 
 class TestCliffordInvariant:
@@ -574,11 +604,12 @@ class TestBasisInvariance:
         g = [[rand_quadelem(rng, field, 2) for _ in range(n)] for _ in range(n)]
         assume(not is_zero(oracle_det(g)))
         zero = field.elem(0, 0)
+        he = h.entries
         ent = [
             [
                 qsum(
                     (
-                        mul(mul(g[k][i], h.entries[k][m]), conj(g[m][j]))
+                        mul(mul(g[k][i], he[k][m]), conj(g[m][j]))
                         for k in range(n)
                         for m in range(n)
                     ),
@@ -591,6 +622,7 @@ class TestBasisInvariance:
         h2 = HermitianGram(field, tuple(tuple(r) for r in ent))
         assert disc(h2) == disc(h)
         assert delta(h2) == delta(h)
+        assert form_invariants(h2) == form_invariants(h)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 10]), st.integers(1, 3))

@@ -77,7 +77,9 @@ def fixed_classes(sheet):
         if isinstance(rel, RestrictionRelation):
             fixed.append(combine_restriction(L, rel.constituents))
         elif isinstance(rel, InductionRelation):
-            fixed.append(combine_induction(rel.psi_delta, rel.index, rel.field_degree_odd))
+            # an even relative field degree gives only local information
+            if rel.field_degree_odd:
+                fixed.append(combine_induction(rel.psi_delta, rel.index, True))
         else:
             fixed.append(combine_tensor(rel.delta_chi, rel.psi_degree))
     a = sheet.alpha_facts
