@@ -3,14 +3,8 @@
 Fact files are JSON documents describing either a character fact sheet
 (block "character", optional top-level "relations") or a Hermitian Gram
 matrix (block "gram"), with all rationals written as integers or
-[numerator, denominator] pairs.  Subcommands:
-
-    deduce  run the deduction engine on one fact file
-    hform   discriminant and invariants of a Gram matrix fact file
-    symbol  Hilbert symbols of a pair of rationals
-    isnorm  norm test for an imaginary quadratic field
-    corpus  re-check every fact file in a directory against its
-            recorded expected block
+[numerator, denominator] pairs. The table COMMANDS at the end names the
+five subcommands, their arguments and their help lines.
 
 Exit codes: 0 success, 1 error, 2 inconclusive deduction (candidate
 list or under-determined), 3 corpus mismatch.
@@ -22,7 +16,6 @@ The functions here that need deduce or hermforms import them locally.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
@@ -588,14 +581,20 @@ def render_report_text(r: Report) -> str:
 # subcommands
 
 
-def cmd_report(args) -> int:
-    # deduce or hform, whichever report the subcommand set
-    report = args.report(args.file)
-    if args.json:
+def _print_report(report: Report, as_json: bool) -> int:
+    if as_json:
         print(json.dumps(report_to_json(report), indent=2))
     else:
         print(render_report_text(report))
     return 0 if report.kind == "unique" else 2
+
+
+def cmd_deduce(as_json, file) -> int:
+    return _print_report(deduce_report(file), as_json)
+
+
+def cmd_hform(as_json, file) -> int:
+    return _print_report(hform_report(file), as_json)
 
 
 def _parse_place(s: str):
@@ -633,13 +632,12 @@ def _parse_rational(s: str) -> Fraction:
     return a
 
 
-def cmd_symbol(args) -> int:
-    a = _parse_rational(args.a)
-    b = _parse_rational(args.b)
-    places = (relevant_places(a, b) if args.place is None
-              else [_parse_place(args.place)])
+def cmd_symbol(as_json, a, b, place=None) -> int:
+    a = _parse_rational(a)
+    b = _parse_rational(b)
+    places = relevant_places(a, b) if place is None else [_parse_place(place)]
     values = {v: hilbert(a, b, v) for v in places}
-    if args.json:
+    if as_json:
         print(json.dumps({"a": str(a), "b": str(b),
                           "values": {str(v): s for v, s in values.items()}}))
     else:
@@ -647,11 +645,11 @@ def cmd_symbol(args) -> int:
     return 0
 
 
-def cmd_isnorm(args) -> int:
-    a = _parse_rational(args.a)
-    L = ImagQuadField(int(args.delta0))
+def cmd_isnorm(as_json, a, delta0) -> int:
+    a = _parse_rational(a)
+    L = ImagQuadField(int(delta0))
     ans = is_norm(a, L)
-    if args.json:
+    if as_json:
         print(json.dumps({"a": str(a), "delta0": L.delta0, "is_norm": ans}))
     else:
         print("true" if ans else "false")
@@ -690,8 +688,8 @@ def _check_corpus_row(ff: FactFile):
                       report.disc, render_places(report.ram)))
 
 
-def cmd_corpus(args) -> int:
-    directory = Path(args.dir) if args.dir else corpus_dir()
+def cmd_corpus(as_json, dir=None) -> int:
+    directory = Path(dir) if dir else corpus_dir()
     if not directory.is_dir():
         raise ValueError("%s is not a directory" % directory)
     rows = []
@@ -729,7 +727,7 @@ def cmd_corpus(args) -> int:
         "1 failure" if failures == 1 else "%d failures" % failures)
     summary = "%d sheets, %d grams, %d skipped: %s" % (sheets, grams, skipped,
                                                        verdict)
-    if args.json:
+    if as_json:
         print(json.dumps({
             "rows": [{"id": i, "status": s, "detail": d} for i, s, d in rows],
             "sheets": sheets, "grams": grams, "skipped": skipped,
@@ -743,70 +741,54 @@ def cmd_corpus(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command table
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="udisc",
-        description="unitary discriminants of Hermitian forms and characters")
-    p.add_argument("--json", action="store_true",
-                   help="emit JSON instead of text")
-    sub = p.add_subparsers(dest="command", required=True, metavar="command")
-
-    d = sub.add_parser("deduce", help="run the deduction engine on a fact file")
-    d.add_argument("file")
-    d.set_defaults(func=cmd_report, report=deduce_report)
-
-    h = sub.add_parser("hform", help="invariants of a Gram matrix fact file")
-    h.add_argument("file")
-    h.set_defaults(func=cmd_report, report=hform_report)
-
-    s = sub.add_parser("symbol", help="Hilbert symbols (a,b)_v")
-    s.add_argument("a")
-    s.add_argument("b")
-    s.add_argument("place", nargs="?")
-    s.set_defaults(func=cmd_symbol)
-
-    n = sub.add_parser("isnorm", help="is a a norm of Q(sqrt(-delta0))?")
-    n.add_argument("a")
-    n.add_argument("delta0")
-    n.set_defaults(func=cmd_isnorm)
-
-    c = sub.add_parser("corpus", help="re-check a directory of fact files")
-    c.add_argument("dir", nargs="?")
-    c.set_defaults(func=cmd_corpus)
-    return p
+# command: (function, arguments, help); a bracketed argument may be left out
+COMMANDS = {
+    "deduce": (cmd_deduce, "file", "run the deduction engine on a fact file"),
+    "hform": (cmd_hform, "file", "invariants of a Gram matrix fact file"),
+    "symbol": (cmd_symbol, "a b [place]", "Hilbert symbols (a,b)_v"),
+    "isnorm": (cmd_isnorm, "a delta0", "is a a norm of Q(sqrt(-delta0))?"),
+    "corpus": (cmd_corpus, "[dir]", "re-check a directory of fact files"),
+}
+# these take paths, so a token that starts with "-" is an option; symbol and
+# isnorm take negative rationals and read every token as an argument
+_PATHS = ("deduce", "hform", "corpus")
+_USAGE = "usage: udisc [-h] [--json] command [argument ...]"
 
 
-def _rearrange(argv: list) -> list:
-    # --json may follow the subcommand, so move it in front; symbol and
-    # isnorm take negative numbers, so shield those from option parsing
-    for i, tok in enumerate(argv):
-        if tok in ("deduce", "hform", "corpus", "symbol", "isnorm"):
-            tail = argv[i + 1:]
-            hoisted = ["--json"] if "--json" in tail else []
-            rest = [t for t in tail if t != "--json"]
-            if tok in ("symbol", "isnorm"):
-                rest = ["--"] + [t for t in rest if t != "--"]
-            return argv[:i] + hoisted + [tok] + rest
-    return argv
+def _usage_error(usage: str, reason: str) -> int:
+    print("%s\nudisc: error: %s" % (usage, reason), file=sys.stderr)
+    return 1
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command, *values = [t for t in argv if t not in ("--json", "--")] or [None]
+    options = [v for v in values if v.startswith("-")] if command in _PATHS else []
+    if command in ("-h", "--help") or {"-h", "--help"} & set(options):
+        print(_USAGE + "\n\nunitary discriminants of Hermitian forms and characters"
+              "\n\ncommands:")
+        for name, (_, args, text) in COMMANDS.items():
+            print("  %-22s%s" % (name + " " + args, text))
+        print("\n--json, before or after the command, prints JSON instead of text")
+        return 0
+    if command not in COMMANDS:
+        return _usage_error(_USAGE, "missing command" if command is None else
+                            "unknown command %r (choose from %s)"
+                            % (command, ", ".join(COMMANDS)))
+    fn, args, _ = COMMANDS[command]
+    usage = "usage: udisc [--json] %s %s" % (command, args)
+    if options:
+        return _usage_error(usage, "unrecognized option %r" % options[0])
+    if not 0 <= len(args.split()) - len(values) <= args.count("["):
+        return _usage_error(usage, "wrong number of arguments: %d" % len(values))
     try:
-        args = parser.parse_args(_rearrange(argv))
-    except SystemExit as e:
-        if e.code == 0:
-            raise
-        return 1
-    try:
-        return args.func(args)
+        return fn("--json" in argv, *values)
     except ValueError as e:
-        if args.json and args.func is cmd_report:
-            report = Report(id=Path(args.file).stem, kind="error", error=str(e))
+        if "--json" in argv and fn in (cmd_deduce, cmd_hform):
+            report = Report(id=Path(values[0]).stem, kind="error", error=str(e))
             print(json.dumps(report_to_json(report), indent=2))
         else:
             print("error: %s" % e, file=sys.stderr)

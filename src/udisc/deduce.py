@@ -421,21 +421,6 @@ def apply_local_rules(sheet: CharacterFactSheet) -> dict:
     return dict(_local_assignment(sheet).statuses)
 
 
-def parity_close(statuses: dict) -> dict:
-    """Close a status map under even ramification: a single free place is
-    forced, and no free place with an odd ramified count is a contradiction."""
-    closed = dict(statuses)
-    unknowns = [v for v, s in closed.items() if s is PlaceStatus.UNKNOWN]
-    ram = sum(1 for s in closed.values() if s is PlaceStatus.RAMIFIED)
-    if len(unknowns) == 1:
-        closed[unknowns[0]] = PlaceStatus.RAMIFIED if ram % 2 else PlaceStatus.UNRAMIFIED
-    elif not unknowns and ram % 2:
-        raise DeduceError(
-            "parity violation: an odd number of places ramifies and no place is free"
-        )
-    return closed
-
-
 def _apply_relations(sheet: CharacterFactSheet, asg: _Assignment):
     for rel in sheet.relations:
         if isinstance(rel, RestrictionRelation):
@@ -469,12 +454,18 @@ def resolve(sheet: CharacterFactSheet) -> DeductionReport:
     asg = _local_assignment(sheet)
     _apply_relations(sheet, asg)
 
-    closed = parity_close(asg.statuses)
-    for v, status in closed.items():
-        if asg.statuses[v] is PlaceStatus.UNKNOWN and status is not PlaceStatus.UNKNOWN:
-            asg.assign(v, status, "parity closure", _CIT_PARITY)
-
+    # parity closure: even ramification decides a single unknown place
     statuses = asg.statuses
+    unknowns = [v for v, s in statuses.items() if s is PlaceStatus.UNKNOWN]
+    odd = sum(s is PlaceStatus.RAMIFIED for s in statuses.values()) % 2
+    if len(unknowns) == 1:
+        status = PlaceStatus.RAMIFIED if odd else PlaceStatus.UNRAMIFIED
+        asg.assign(unknowns[0], status, "parity closure", _CIT_PARITY)
+    elif not unknowns and odd:
+        raise DeduceError(
+            "parity violation: an odd number of places ramifies and no place is free"
+        )
+
     split = {v for v in statuses if v != INF and prime_behavior(L, v) == PrimeBehavior.SPLIT}
     for v in sorted(split):
         if statuses[v] is PlaceStatus.RAMIFIED:

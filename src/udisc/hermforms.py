@@ -139,6 +139,10 @@ def _congruence_diagonal(s: int, X: tuple, Y: tuple, d: int) -> tuple:
         p = xe[e]
         assert ye[e] == 0
         diag.append(Fraction(p, prev * s))
+        if not any(xi[e] or yi[e] for xi, yi in zip(X[e + 1:], Y[e + 1:])):
+            # e is orthogonal to the rest, so the later pivots are those of H
+            # without e, from the same block and prev
+            continue
         # the trailing block becomes p/prev times its Schur complement
         bx, by = xe[e + 1:], ye[e + 1:]
         for xi, yi in zip(X[e + 1:], Y[e + 1:]):

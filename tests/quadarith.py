@@ -1,7 +1,8 @@
 """Arithmetic in an imaginary quadratic field L = Q(sqrt(-delta0)).
 
-udisc keeps `QuadElem` as a value type: the Gram loader builds elements and
-the elimination reads their integer coordinates, with no arithmetic in L.
+udisc keeps `QuadElem` as a value type with no arithmetic in L: the public
+`HermitianGram` constructor reads its coordinates, and the Gram loader and
+the elimination work on integer matrices.
 The tests' Gram builders and oracles (`oracle_det`, the Fraction-coordinate
 congruence elimination, the G^T sigma(G) forms) do compute in L; they use
 these functions. Rationals stand for elements with y = 0 wherever an

@@ -17,6 +17,7 @@ import pytest
 
 import udisc
 from udisc import arith
+from udisc.brauer import BrauerClassQ
 from udisc.cli import (
     MAX_GRAM_DIM,
     FactFile,
@@ -32,6 +33,7 @@ from udisc.cli import (
 )
 from udisc.hermforms import HermitianGram
 from udisc.quadfield import ImagQuadField, QuadElem
+from udisc.symbols import INF
 
 
 def run(capsys, *argv):
@@ -554,6 +556,15 @@ class TestDeduceCommand:
         assert rc == 0
         assert out.splitlines()[0] == "disc = n/a, Delta = (-1,-3)_Q, ram{inf,3}"
 
+    def test_not_quasi_split_candidates_are_counted(self, capsys, tmp_path):
+        payload = json.load(open(corpus_path("on3_chi57_partial")))
+        payload["character"]["quasi_split"] = False
+        path = write_json(tmp_path, "nqs.json", payload)
+        rc, out, _ = run(capsys, "deduce", path)
+        assert rc == 2
+        assert out.splitlines()[:3] == [
+            "candidates = 2 classes", "  ram{inf,5}", "  ram{inf,2,3,5}"]
+
     def test_parity_violation_is_an_error(self, capsys, tmp_path):
         path = write_json(tmp_path, "parity.json", SHEET_PARITY)
         rc, _, err = run(capsys, "deduce", path)
@@ -865,6 +876,26 @@ class TestCorpusCommand:
         assert out.splitlines()[0].split(None, 2) == [
             "FAIL", "bare", "error: character: missing (this file has no fact sheet)"]
 
+    @pytest.mark.parametrize("source,expected,detail", [
+        ("q10_i2", {"kind": "unique", "disc": 2, "ram": [2, 5]},
+         "expected kind 'unique' does not fit a gram row"),
+        ("o10p2_chi33", {"kind": "hform", "disc": -1, "ram": ["inf", 3]},
+         "expected kind 'hform' does not fit a character row"),
+        ("o10p2_chi33", {"kind": "candidates", "discs": [-1, -3]},
+         "expected candidates, got unique"),
+        ("on3_chi57_partial", {"kind": "unique", "disc": -5, "ram": ["inf", 5]},
+         "expected unique, got candidates"),
+    ])
+    def test_expected_kind_mismatch_fails(self, capsys, tmp_path, source, expected, detail):
+        payload = json.load(open(corpus_path(source)))
+        payload["expected"] = expected
+        write_json(tmp_path, source + ".json", payload)
+        rc, out, _ = run(capsys, "corpus", str(tmp_path))
+        assert rc == 3
+        assert out.splitlines() == ["FAIL  %-20s%s" % (source, detail),
+                                    "%d sheets, %d grams, 0 skipped: 1 failure"
+                                    % ((0, 1) if source == "q10_i2" else (1, 0))]
+
     def test_row_without_expected_fails(self, capsys, tmp_path):
         write_json(tmp_path, "bare.json", SHEET_CHI33)
         rc, out, _ = run(capsys, "corpus", str(tmp_path))
@@ -891,6 +922,10 @@ class TestCorpusCommand:
         _, before, _ = run(capsys, "--json", "corpus")
         rc, after, _ = run(capsys, "corpus", "--json")
         assert (rc, after) == (0, before)
+
+
+def _constituent(payload):
+    return payload["relations"][0]["constituents"][0]
 
 
 class TestLoader:
@@ -1124,6 +1159,46 @@ class TestLoader:
         with pytest.raises(FactFileError, match=r"q_class\[0\]"):
             load_fact_file(path)
 
+    def test_constituent_by_delta_ram(self, capsys, tmp_path):
+        payload = json.loads(json.dumps(SHEET_CHI33))
+        payload["relations"] = [{"kind": "restriction", "constituents": [
+            {"indicator": "o", "degree": 2, "delta_ram": ["inf", 3]}]}]
+        path = write_json(tmp_path, "f.json", payload)
+        (c,) = load_fact_file(path).sheet.relations[0].constituents
+        assert c.delta_class == BrauerClassQ(frozenset([INF, 3]))
+        rc, out, _ = run(capsys, "deduce", path)
+        assert (rc, out.splitlines()[0]) == (0, "disc = -1, Delta = (-1,-3)_Q, ram{inf,3}")
+
+    @pytest.mark.parametrize("edit,msg", [
+        (lambda d: _constituent(d).update(delta_disc=-3, delta_ram=["inf", 3]),
+         "relations[0].constituents[0]: give at most one of delta_disc and delta_ram"),
+        (lambda d: _constituent(d).update(delta_disc=0),
+         "relations[0].constituents[0].delta_disc: must be nonzero"),
+        (lambda d: d["relations"][0].pop("kind"),
+         'relations[0]: expected an object with a "kind" key'),
+        (lambda d: d["character"].update(alpha_facts={
+            "q_class": [], "m": 3, "indicator_ext": "+", "alpha_disc": 0}),
+         "character.alpha_facts.alpha_disc: must be nonzero"),
+        (lambda d: d["character"].update(alpha_facts={
+            "q_class": [], "m": 3, "indicator_ext": "+",
+            "parts": [{"dim": 2, "det": 5}, {"dim": 4, "det": [0, 7]}]}),
+         "character.alpha_facts.parts[1].det: determinant must be nonzero"),
+        (lambda d: d.update(expected={"kind": "candidates", "discs": []}),
+         "expected.discs: expected at least one candidate"),
+        (lambda d: d.update(expected={"kind": "maybe"}),
+         "expected.kind: unknown expected kind 'maybe'"),
+        (lambda d: d.pop("character"), "relations: requires a character block"),
+    ])
+    def test_schema_error(self, tmp_path, edit, msg):
+        payload = json.loads(json.dumps(SHEET_CHI33))
+        payload["relations"] = [{"kind": "restriction", "constituents": [
+            {"indicator": "o", "degree": 2}]}]
+        edit(payload)
+        path = write_json(tmp_path, "f.json", payload)
+        with pytest.raises(FactFileError) as e:
+            load_fact_file(path)
+        assert str(e.value) == msg
+
     def test_id_defaults_to_file_stem(self, tmp_path):
         payload = json.loads(json.dumps(SHEET_CHI33))
         del payload["id"]
@@ -1229,15 +1304,77 @@ class TestReportSerialization:
             report_from_json({"id": "x", "kind": "unique", "surprise": 1})
 
 
+USAGE = "usage: udisc [-h] [--json] command [argument ...]"
+
+
 class TestUsageErrors:
+    """A usage error prints a usage line and one error line on stderr and
+    exits 1; a help request prints the command listing and exits 0."""
+
+    def usage_error(self, capsys, argv, usage, reason):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err == "%s\nudisc: error: %s\n" % (usage, reason)
+
     def test_missing_subcommand(self, capsys):
-        assert main([]) == 1
+        for argv in [], ["--json"], ["--"]:
+            self.usage_error(capsys, argv, USAGE, "missing command")
 
     def test_missing_argument(self, capsys):
-        assert main(["symbol", "-1"]) == 1
+        self.usage_error(capsys, ["symbol", "-1"], "usage: udisc [--json] symbol a b [place]",
+                         "wrong number of arguments: 1")
 
     def test_unknown_subcommand(self, capsys):
-        assert main(["frobnicate"]) == 1
+        for argv in ["frobnicate"], ["--jsn", "corpus"], ["", "corpus"]:
+            self.usage_error(capsys, argv, USAGE, "unknown command %r (choose from"
+                             " deduce, hform, symbol, isnorm, corpus)" % argv[0])
+
+    @pytest.mark.parametrize("argv,usage", [
+        (["symbol", "1", "2", "3", "4"], "symbol a b [place]"),
+        (["symbol", "-h"], "symbol a b [place]"),
+        (["isnorm", "1"], "isnorm a delta0"),
+        (["deduce"], "deduce file"),
+        (["hform", "a", "b"], "hform file"),
+        (["corpus", "a", "b"], "corpus [dir]"),
+    ])
+    def test_wrong_argument_count(self, capsys, argv, usage):
+        self.usage_error(capsys, argv, "usage: udisc [--json] " + usage,
+                         "wrong number of arguments: %d" % (len(argv) - 1))
+
+    @pytest.mark.parametrize("argv,usage", [
+        (["deduce", "-x"], "deduce file"),
+        (["--json", "hform", "--", "-5"], "hform file"),
+        (["corpus", "-"], "corpus [dir]"),
+        (["corpus", "--jsn"], "corpus [dir]"),
+    ])
+    def test_option_to_a_path_command(self, capsys, argv, usage):
+        self.usage_error(capsys, argv, "usage: udisc [--json] " + usage,
+                         "unrecognized option %r" % argv[-1])
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], ["--json", "-h"], ["-h", "symbol", "1"], ["deduce", "-h"],
+        ["hform", corpus_path("q10_i2"), "--help"], ["corpus", "-h"], ["corpus", "--", "-h"]])
+    def test_help(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, "")
+        assert out.splitlines() == [
+            USAGE, "",
+            "unitary discriminants of Hermitian forms and characters", "",
+            "commands:",
+            "  deduce file           run the deduction engine on a fact file",
+            "  hform file            invariants of a Gram matrix fact file",
+            "  symbol a b [place]    Hilbert symbols (a,b)_v",
+            "  isnorm a delta0       is a a norm of Q(sqrt(-delta0))?",
+            "  corpus [dir]          re-check a directory of fact files", "",
+            "--json, before or after the command, prints JSON instead of text",
+        ]
+
+    @pytest.mark.parametrize("argv", [
+        ["symbol", "-h", "3"], ["symbol", "3", "--help"], ["isnorm", "-h", "3"]])
+    def test_numeric_commands_read_every_token_as_an_argument(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        flag = next(a for a in argv if a.startswith("-"))
+        assert (rc, out, err) == (1, "", "error: malformed rational %r\n" % flag)
 
 
 BASE_MODULES = ["udisc", "udisc.arith", "udisc.brauer", "udisc.cli",
@@ -1260,7 +1397,8 @@ def test_subcommand_loads_only_what_it_uses(argv, extra):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    rc = udisc.cli.main(sys.argv[1:])\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'udisc')\n"
-        "added = sorted({'dataclasses'} & (set(sys.modules) - before))\n"
+        "added = sorted({'argparse', 'dataclasses', 'gettext'}\n"
+        "               & (set(sys.modules) - before))\n"
         "print(json.dumps([rc, loaded, added]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(udisc.__file__).parent.parent))

@@ -32,7 +32,6 @@ from udisc.deduce import (
     combine_induction,
     combine_restriction,
     combine_tensor,
-    parity_close,
     q8_class,
     resolve,
 )
@@ -439,6 +438,21 @@ class TestCandidatePlaces:
 
 
 class TestApplyLocalRules:
+    def test_external_fact_outside_the_candidate_places_decides_nothing(self):
+        # 11 is inert in Q(sqrt(-3)), so the fact would ramify it, but 11
+        # does not divide 2|G|
+        def sheet(*facts):
+            return CharacterFactSheet(id="x", degree=2, field=Q3,
+                                      group_order_factors={2: 1, 3: 1, 5: 1},
+                                      mod_facts=facts)
+
+        outside = fact(11, FactStatus.NOT_UNITARY_STABLE, defect_one=True, external=True)
+        assert apply_local_rules(sheet(outside)) == {INF: R, 2: UNK, 3: UNK, 5: UNK}
+        with_fact, without = resolve(sheet(outside)), resolve(sheet())
+        assert with_fact.statuses == without.statuses
+        assert with_fact.trace == without.trace
+        assert with_fact.result.items == without.result.items
+
     def test_infinite_place_ramifies_for_degree_2_mod_4(self):
         statuses = apply_local_rules(sheet_o10_chi33())
         assert statuses[INF] == R
@@ -554,30 +568,49 @@ class TestApplyLocalRules:
 
 
 class TestParityClose:
+    """The parity step of resolve, on sheets over Q(sqrt-3) with candidate
+    places inf (ramified, degree 2), 2 (inert, stable), 3 and 5."""
+
+    @staticmethod
+    def run(*facts):
+        return resolve(CharacterFactSheet(
+            id="parity", degree=2, field=Q3, group_order_factors={2: 1, 3: 1, 5: 1},
+            mod_facts=(fact(2, FactStatus.UNITARY_STABLE),) + facts,
+        ))
+
+    @staticmethod
+    def parity_lines(report):
+        return [line.place for line in report.trace if line.rule == "parity closure"]
+
     def test_single_unknown_closed_to_even_count(self):
-        statuses = {INF: R, 5: R, 3: UNK}
-        assert parity_close(statuses)[3] == U
+        report = self.run(fact(5, FactStatus.NOT_UNITARY_STABLE, defect_one=True))
+        assert report.statuses == {INF: R, 2: U, 3: U, 5: R}
+        assert self.parity_lines(report) == [3]
+        assert report.result.brauer_class == cls(INF, 5)
 
     def test_single_unknown_closed_to_ramified(self):
-        statuses = {INF: R, 5: U, 3: UNK}
-        assert parity_close(statuses)[3] == R
+        report = self.run(fact(5, FactStatus.UNITARY_STABLE))
+        assert report.statuses == {INF: R, 2: U, 3: R, 5: U}
+        assert self.parity_lines(report) == [3]
+        assert report.result.brauer_class == cls(INF, 3)
 
     def test_no_unknown_even_count_passes(self):
-        statuses = {INF: R, 5: R, 3: U}
-        assert parity_close(statuses) == statuses
+        report = self.run(fact(5, FactStatus.NOT_UNITARY_STABLE, defect_one=True),
+                          fact(3, FactStatus.ORTH_SQUARE))
+        assert report.statuses == {INF: R, 2: U, 3: U, 5: R}
+        assert self.parity_lines(report) == []
+        assert report.result.brauer_class == cls(INF, 5)
 
     def test_no_unknown_odd_count_is_contradiction(self):
-        with pytest.raises(DeduceError, match="parity"):
-            parity_close({INF: R, 5: U})
+        with pytest.raises(DeduceError, match="^parity violation: an odd number"):
+            self.run(fact(5, FactStatus.UNITARY_STABLE), fact(3, FactStatus.ORTH_SQUARE))
 
     def test_multiple_unknowns_left_alone(self):
-        statuses = {INF: R, 5: UNK, 3: UNK}
-        assert parity_close(statuses) == statuses
-
-    def test_input_not_mutated(self):
-        statuses = {INF: R, 5: R, 3: UNK}
-        parity_close(statuses)
-        assert statuses[3] == UNK
+        report = self.run()
+        assert report.statuses == {INF: R, 2: U, 3: UNK, 5: UNK}
+        assert self.parity_lines(report) == []
+        assert isinstance(report.result, Candidates)
+        assert [c for c, _ in report.result.items] == [cls(INF, 3), cls(INF, 5)]
 
 
 class TestResolveUnique:
@@ -883,6 +916,19 @@ class TestCombineRestriction:
                 Q3,
                 (Constituent(indicator="-", degree=3, mult=1, brauer_class=cls()),),
             )
+
+    @pytest.mark.parametrize("constituent,msg", [
+        (Constituent(indicator="o", degree=2), "unitary constituent needs its delta class"),
+        (Constituent(indicator="-", degree=2),
+         "orthogonal or symplectic constituent needs its quaternion class"),
+        (Constituent(indicator="+", degree=2),
+         "orthogonal or symplectic constituent needs its quaternion class"),
+        (Constituent(indicator="+", degree=2, brauer_class=cls()),
+         "orthogonal constituent needs its discriminant"),
+    ])
+    def test_missing_class_data_rejected(self, constituent, msg):
+        with pytest.raises(DeduceError, match="^%s$" % msg):
+            combine_restriction(Q3, (constituent,))
 
 
 class TestCombineInduction:

@@ -329,6 +329,68 @@ class TestEliminationOracle:
                         ent[j][i] = conj(ent[i][j])
                 self.agree(ent, field)
 
+    @staticmethod
+    def orthogonal_sum(field, blocks):
+        n = sum(len(b) for b in blocks)
+        ent = [[field.elem(0, 0)] * n for _ in range(n)]
+        k = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                ent[k + i][k:k + len(b)] = row
+            k += len(b)
+        return ent
+
+    @staticmethod
+    def fill(n, make):
+        # blocks from make(size) whose sizes add up to n
+        blocks = []
+        while (left := n - sum(len(b) for b in blocks)):
+            blocks.append(make(left))
+        return blocks
+
+    @staticmethod
+    def plane(rng, field, corner, imaginary):
+        # [[0, w], [conj(w), corner]]: for corner 0 a hyperbolic plane, which
+        # needs the v_e + c v_f step (c = sqrt(-delta0) when w has no rational
+        # part) once every later diagonal entry vanishes; else a swap
+        w = rand_quadelem(rng, field)
+        w = field.elem(0 if imaginary else w.x or 1, w.y or 1)
+        return [[field.elem(0, 0), w], [conj(w), field.elem(corner, 0)]]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 32])
+    def test_diagonal(self, n):
+        rng = random.Random(n)
+        field = ImagQuadField(rng.choice([1, 2, 3, 5, 10]))
+        ent = self.orthogonal_sum(field, [
+            [[field.elem(Fraction(rng.choice([-1, 1]) * rng.randint(1, 30),
+                                  rng.randint(1, 12)), 0)]]
+            for _ in range(n)])
+        assert self.agree(ent, field)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+    @pytest.mark.parametrize("d0", [1, 2, 3, 7])
+    def test_block_diagonal(self, n, d0):
+        # each pivot is decoupled from the rest until a swap or the
+        # v_e + c v_f step brings in a row of another block
+        rng = random.Random(n * d0)
+        field = ImagQuadField(d0)
+
+        def corner():
+            return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+
+        def mixed(left):
+            k = rng.randint(1, min(left, 4))
+            if k == 2 and rng.random() < 0.5:
+                return self.plane(rng, field, rng.choice([0, corner()]), rng.random() < 0.5)
+            return rand_congruent(rng, field, k)
+
+        hyperbolic = self.fill(n, lambda left: self.plane(rng, field, 0, rng.random() < 0.5))
+        swapped = self.fill(n, lambda left: self.plane(rng, field, corner(), False))
+        assert self.agree(self.orthogonal_sum(field, hyperbolic), field)
+        assert self.agree(self.orthogonal_sum(field, swapped), field)
+        for _ in range(3):
+            self.agree(self.orthogonal_sum(field, self.fill(n, mixed)), field)
+
 
 class TestDisc:
     def test_pinned_values(self):
