@@ -689,9 +689,10 @@ def _check_corpus_row(ff: FactFile):
 
 
 def cmd_corpus(as_json, dir=None) -> int:
-    directory = Path(dir) if dir else corpus_dir()
-    if not directory.is_dir():
-        raise ValueError("%s is not a directory" % directory)
+    directory = corpus_dir() if dir is None else Path(dir)
+    # Path("") is ".", but an empty argument names no directory
+    if dir == "" or not directory.is_dir():
+        raise ValueError("%s is not a directory" % (directory if dir else "''"))
     rows = []
     sheets = grams = skipped = failures = 0
     for f in sorted(directory.glob("*.json")):

@@ -19,7 +19,7 @@ reason it applies.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .arith import is_prime
 from .brauer import BrauerClassQ, from_pair, l_disc, splits_in
@@ -270,38 +270,6 @@ class DeductionReport(NamedTuple):
     trace: tuple
 
 
-_CIT_INF = "the archimedean place ramifies in Delta(chi) iff degree == 2 mod 4"
-_CIT_SPLIT = (
-    "a quaternion class split by L cannot ramify at a place that splits in L;"
-    " with local Schur index 1 the invariant lattice stays self-dual there"
-)
-_CIT_STABLE = (
-    "a unitary stable reduction at an inert prime p admits a p-unimodular"
-    " invariant lattice, so p does not ramify"
-)
-_CIT_DEFECT = (
-    "in a p-block of defect one, p ramifies in Delta(chi) iff the reduction"
-    " mod p is not unitary stable"
-)
-_CIT_ORTH_SQ = (
-    "mod a ramified odd prime p the reduction is orthogonally stable and"
-    " disc(chi) reduces onto its discriminant; a square verdict keeps p"
-    " unramified"
-)
-_CIT_ORTH_NSQ = (
-    "mod a ramified odd prime p the reduction is orthogonally stable and"
-    " disc(chi) reduces onto its discriminant; a nonsquare verdict forces p"
-    " to ramify"
-)
-_CIT_CENTER4 = (
-    "a faithful character of a perfect group whose center order is divisible"
-    " by 4 takes values in a field where odd places cannot ramify"
-)
-_CIT_CENTER2 = (
-    "for a perfect group with even center, an odd prime p ramified in L"
-    " ramifies in Delta(chi) iff (-1)^(d/2) is a nonsquare mod p, where d is"
-    " the mod-4 dimension sum of the orthogonal constituents"
-)
 _CIT_Q8 = (
     "a quaternion subgroup through the central involution restricts every"
     " faithful character to multiples of its symplectic character, giving"
@@ -324,10 +292,14 @@ _CIT_PARITY = "a quaternion class over Q ramifies at an even number of places"
 
 
 class _Assignment:
-    """Mutable status map that records which rule decided each place."""
+    """Mutable status map that records which rule decided each place. A
+    place's kind is "inf" or how the prime behaves in L, prefixed "2 " at 2."""
 
-    def __init__(self, places):
-        self.statuses = {v: PlaceStatus.UNKNOWN for v in places}
+    def __init__(self, sheet: CharacterFactSheet):
+        L = sheet.field
+        self.kinds = {v: "inf" if v == INF else "2 " * (v == 2) + prime_behavior(L, v).value
+                      for v in candidate_places(sheet)}
+        self.statuses = {v: PlaceStatus.UNKNOWN for v in self.kinds}
         self.rule_by_place = {}
         self.trace = []
 
@@ -361,58 +333,83 @@ def candidate_places(sheet: CharacterFactSheet) -> list:
     return [INF] + sorted(primes)
 
 
+class _Rule(NamedTuple):
+    """One local criterion: the fact kinds it reads, the place kinds it
+    applies to, a condition on the fact, and the status it gives (or a
+    function of the fact and the place giving it)."""
+
+    name: str
+    reads: tuple
+    places: tuple
+    when: Optional[Callable]
+    status: Union[PlaceStatus, Callable]
+    citation: str
+
+
+_R, _U = PlaceStatus.RAMIFIED, PlaceStatus.UNRAMIFIED
+_INERT, _SPLIT, _ODD = ("inert", "2 inert"), ("split", "2 split"), ("inert", "split", "ramified")
+_RULES = (
+    _Rule("infinite place parity", ("degree",), ("inf",), None,
+          lambda degree, v: _R if degree % 4 == 2 else _U,
+          "the archimedean place ramifies in Delta(chi) iff degree == 2 mod 4"),
+    _Rule("split place", ("split_schur_trivial",), _SPLIT, None, _U,
+          "a quaternion class split by L cannot ramify at a place that splits in L;"
+          " with local Schur index 1 the invariant lattice stays self-dual there"),
+    _Rule("inert stable reduction", (FactStatus.IRREDUCIBLE, FactStatus.UNITARY_STABLE),
+          _INERT, None, _U,
+          "a unitary stable reduction at an inert prime p admits a p-unimodular"
+          " invariant lattice, so p does not ramify"),
+    _Rule("defect one block", (FactStatus.NOT_UNITARY_STABLE,), _INERT,
+          lambda f: f.defect_one, _R,
+          "in a p-block of defect one, p ramifies in Delta(chi) iff the reduction"
+          " mod p is not unitary stable"),
+    _Rule("orthogonal discriminant square", (FactStatus.ORTH_SQUARE,), ("ramified",), None, _U,
+          "mod a ramified odd prime p the reduction is orthogonally stable and"
+          " disc(chi) reduces onto its discriminant; a square verdict keeps p"
+          " unramified"),
+    _Rule("orthogonal discriminant nonsquare", (FactStatus.ORTH_NONSQUARE,), ("ramified",),
+          None, _R,
+          "mod a ramified odd prime p the reduction is orthogonally stable and"
+          " disc(chi) reduces onto its discriminant; a nonsquare verdict forces p"
+          " to ramify"),
+    _Rule("center of order four", ("center_order",), _ODD,
+          lambda s: s.perfect and s.faithful and s.center_order % 4 == 0, _U,
+          "a faithful character of a perfect group whose center order is divisible"
+          " by 4 takes values in a field where odd places cannot ramify"),
+    _Rule("center order two", ("orth_dim_sum_mod4",), ("ramified",),
+          lambda s: s.perfect and s.center_order % 2 == 0,
+          lambda s, p: _R if legendre(-1 if s.orth_dim_sum_mod4[p] == 2 else 1, p) == -1 else _U,
+          "for a perfect group with even center, an odd prime p ramified in L"
+          " ramifies in Delta(chi) iff (-1)^(d/2) is a nonsquare mod p, where d is"
+          " the mod-4 dimension sum of the orthogonal constituents"),
+)
+
+
 def _local_assignment(sheet: CharacterFactSheet) -> _Assignment:
-    asg = _Assignment(candidate_places(sheet))
-    L = sheet.field
-    finite = [v for v in asg.statuses if v != INF]
-    behaviour = {p: prime_behavior(L, p) for p in finite}
-
-    inf_status = PlaceStatus.RAMIFIED if sheet.degree % 4 == 2 else PlaceStatus.UNRAMIFIED
-    asg.assign(INF, inf_status, "infinite place parity", _CIT_INF)
-
-    if sheet.split_schur_trivial:
-        for p in finite:
-            if behaviour[p] == PrimeBehavior.SPLIT:
-                asg.assign(p, PlaceStatus.UNRAMIFIED, "split place", _CIT_SPLIT)
-
-    for f in sheet.mod_facts:
-        if f.p not in asg.statuses:
-            continue
-        b = behaviour[f.p]
-        if b == PrimeBehavior.INERT:
-            if f.status in (FactStatus.IRREDUCIBLE, FactStatus.UNITARY_STABLE):
-                asg.assign(f.p, PlaceStatus.UNRAMIFIED, "inert stable reduction", _CIT_STABLE)
-            elif f.status == FactStatus.NOT_UNITARY_STABLE and f.defect_one:
-                asg.assign(f.p, PlaceStatus.RAMIFIED, "defect one block", _CIT_DEFECT)
-        elif b == PrimeBehavior.RAMIFIED and f.p != 2:
-            if f.status == FactStatus.ORTH_SQUARE:
-                asg.assign(
-                    f.p, PlaceStatus.UNRAMIFIED, "orthogonal discriminant square", _CIT_ORTH_SQ
-                )
-            elif f.status == FactStatus.ORTH_NONSQUARE:
-                asg.assign(
-                    f.p, PlaceStatus.RAMIFIED, "orthogonal discriminant nonsquare", _CIT_ORTH_NSQ
-                )
-
+    """Each fact, at each place it speaks about, is settled by the first row
+    of _RULES that matches; the first rule at a place is the one named in
+    the trace and in contradictions, and every later one must agree."""
+    asg = _Assignment(sheet)
+    finite = [v for v in asg.kinds if v != INF]
     s = sheet.structural
+    # (fact kind, fact, the places it speaks about), in the order of the trace
+    facts = [("degree", sheet.degree, [INF])]
+    if sheet.split_schur_trivial:
+        facts.append(("split_schur_trivial", True, finite))
+    facts += [(f.status, f, [f.p]) for f in sheet.mod_facts]
     if s is not None:
-        if s.perfect and s.faithful and s.center_order % 4 == 0:
-            for p in finite:
-                if p != 2:
-                    asg.assign(p, PlaceStatus.UNRAMIFIED, "center of order four", _CIT_CENTER4)
-        if s.perfect and s.center_order % 2 == 0:
-            for p in sorted(s.orth_dim_sum_mod4):
-                if p == 2 or p not in asg.statuses:
-                    continue
-                if behaviour[p] != PrimeBehavior.RAMIFIED:
-                    continue
-                d = s.orth_dim_sum_mod4[p]
-                sign = -1 if d == 2 else 1
-                want = PlaceStatus.RAMIFIED if legendre(sign, p) == -1 else PlaceStatus.UNRAMIFIED
-                asg.assign(p, want, "center order two", _CIT_CENTER2)
-        if s.q8_subgroup:
-            asg.assign_class(q8_class(sheet.degree, L), "quaternion subgroup", _CIT_Q8)
-
+        facts.append(("center_order", s, finite))
+        facts += [("orth_dim_sum_mod4", s, [p]) for p in sorted(s.orth_dim_sum_mod4)]
+    for read, fact, places in facts:
+        rules = [r for r in _RULES if read in r.reads and (r.when is None or r.when(fact))]
+        for v in places:
+            for rule in rules:
+                if asg.kinds.get(v) in rule.places:
+                    status = rule.status(fact, v) if callable(rule.status) else rule.status
+                    asg.assign(v, status, rule.name, rule.citation)
+                    break
+    if s is not None and s.q8_subgroup:
+        asg.assign_class(q8_class(sheet.degree, sheet.field), "quaternion subgroup", _CIT_Q8)
     return asg
 
 
@@ -466,7 +463,7 @@ def resolve(sheet: CharacterFactSheet) -> DeductionReport:
             "parity violation: an odd number of places ramifies and no place is free"
         )
 
-    split = {v for v in statuses if v != INF and prime_behavior(L, v) == PrimeBehavior.SPLIT}
+    split = {v for v, kind in asg.kinds.items() if kind in _SPLIT}
     for v in sorted(split):
         if statuses[v] is PlaceStatus.RAMIFIED:
             raise DeduceError(

@@ -803,6 +803,12 @@ class TestCorpusCommand:
         assert rc == 0
         assert "all pass" in out
 
+    def test_empty_argument_is_not_a_directory(self, capsys):
+        # not the bundled corpus, and not the working directory Path("") names
+        assert run(capsys, "corpus", "") == (1, "", "error: '' is not a directory\n")
+        assert run(capsys, "corpus", "/nonexistent") == (
+            1, "", "error: /nonexistent is not a directory\n")
+
     def test_empty_directory(self, capsys, tmp_path):
         rc, out, _ = run(capsys, "corpus", str(tmp_path))
         assert rc == 0

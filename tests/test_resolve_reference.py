@@ -25,10 +25,14 @@ the engine's status assignment:
 
 resolve must raise DeduceError iff nothing survives, and otherwise report
 exactly the survivors: Unique when it is the only one.
+
+The same predicates check the local rules one fact at a time: for every
+kind of local fact at every kind of place, the status `apply_local_rules`
+gives a place is the one that the sets allowed by every rule force on it.
 """
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -44,11 +48,14 @@ from udisc.deduce import (
     FactStatus,
     InductionRelation,
     ModFact,
+    PlaceStatus,
     RestrictionRelation,
     Structural,
     TensorRelation,
     Unique,
+    _RULES,
     alpha_class,
+    apply_local_rules,
     candidate_places,
     combine_induction,
     combine_restriction,
@@ -237,3 +244,92 @@ def check_against_reference(sheet):
 @given(sheets())
 def test_resolve_reports_exactly_the_surviving_classes(sheet):
     check_against_reference(sheet)
+
+
+# 2 is inert in Q(sqrt-3), splits in Q(sqrt-7) and ramifies in Q(i); beside
+# 2, an odd prime of each behaviour the field has, and a prime outside the
+# candidate places
+GRID = {
+    ImagQuadField(3): {"inert": 5, "split": 7, "ramified": 3},
+    ImagQuadField(7): {"inert": 3, "split": 11, "ramified": 7},
+    ImagQuadField(1): {"inert": 3, "split": 5},
+}
+OUTSIDE = 29
+ORTH = (FactStatus.ORTH_SQUARE, FactStatus.ORTH_NONSQUARE)
+
+
+def local_facts(p):
+    """Every kind of local fact that can speak about p, as sheet arguments."""
+    for status, defect_one in product(FactStatus, (False, True)):
+        yield {"mod_facts": [ModFact(p, status, defect_one, external=p == OUTSIDE)]}
+    for perfect, faithful, order, sums in product(
+            (False, True), (False, True), (1, 2, 4), ({}, {p: 0}, {p: 2})):
+        yield {"structural": Structural(perfect=perfect, center_order=order,
+                                        orth_dim_sum_mod4=sums, faithful=faithful)}
+
+
+def grid_sheets(L, p):
+    """(arguments, sheet or None when the constructor refuses) for each
+    local fact at p, each degree parity and each split_schur_trivial."""
+    order = {q: 1 for q in (2, *GRID[L].values())}
+    for facts, degree, schur in product(local_facts(p), (2, 4), (False, True)):
+        args = dict(facts, id="grid", degree=degree, field=L, group_order_factors=order,
+                    split_schur_trivial=schur)
+        try:
+            yield args, CharacterFactSheet(**args)
+        except ValueError:
+            yield args, None
+
+
+GRID_PLACES = [(L, p) for L, odd in GRID.items() for p in (2, *odd.values(), OUTSIDE)]
+
+
+@pytest.mark.parametrize("L, p", GRID_PLACES, ids=lambda x: str(x))
+def test_local_rules_give_what_the_reference_forces(L, p):
+    for args, sheet in grid_sheets(L, p):
+        if sheet is None:
+            # the constructor refuses orthogonal facts away from primes ramified in L
+            (f,) = args["mod_facts"]
+            assert f.status in ORTH and prime_behavior(L, p) is not PrimeBehavior.RAMIFIED
+            continue
+        places = candidate_places(sheet)
+        if p not in places:
+            # a fact outside the candidate places decides nothing
+            s = args.get("structural")
+            bare = dict(args, mod_facts=(), structural=s and Structural(
+                perfect=s.perfect, center_order=s.center_order, faithful=s.faithful))
+            assert apply_local_rules(sheet) == apply_local_rules(CharacterFactSheet(**bare))
+            continue
+        # without a trivial local Schur index the split-place predicate is
+        # no local rule: resolve applies it by leaving split places out of
+        # the free ones, so here a split place counts as of no kind
+        kind = {v: prime_behavior(L, v) for v in places if v != INF}
+        if not sheet.split_schur_trivial:
+            kind = {v: None if b is PrimeBehavior.SPLIT else b for v, b in kind.items()}
+        # every rule but parity is local, so the sets of any size count
+        ok = [S for r in range(len(places) + 1) for S in map(frozenset, combinations(places, r))
+              if allowed(sheet, kind, [], S)]
+        if not ok:
+            with pytest.raises(DeduceError):
+                apply_local_rules(sheet)
+            continue
+        for v, status in apply_local_rules(sheet).items():
+            seen = {v in S for S in ok}
+            want = (PlaceStatus.UNKNOWN if len(seen) == 2 else
+                    PlaceStatus.RAMIFIED if True in seen else PlaceStatus.UNRAMIFIED)
+            assert status is want, (args, v)
+
+
+def test_each_rule_has_one_citation():
+    citations = {}
+    for L, p in GRID_PLACES:
+        for _, sheet in grid_sheets(L, p):
+            try:
+                trace = resolve(sheet).trace if sheet is not None else ()
+            except DeduceError:
+                continue
+            for line in trace:
+                citations.setdefault(line.rule, set()).add(line.citation)
+    assert set(citations) == {r.name for r in _RULES} | {"parity closure"}
+    assert all(len(c) == 1 for c in citations.values())
+    assert {r.name: {r.citation} for r in _RULES}.items() <= citations.items()
