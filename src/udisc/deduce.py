@@ -8,12 +8,14 @@ decompositions, or the discriminant of an alpha-fixed Hermitian space).
 
 The target is the discriminant algebra Delta(chi): a quaternion class over
 Q that is split by L, so it is determined by its finite set of ramified
-places. The engine assigns each place of Q one of Ramified / Unramified /
-Unknown, closes the assignment under the even-ramification parity of
-quaternion classes, and emits either the unique answer, the candidate
-discriminants compatible with the facts, or an under-determined verdict.
-Every decision carries a trace line naming the rule and the mathematical
-reason it applies.
+places. Each criterion is one row of _RULES: a local row marks single
+places Ramified or Unramified, a class row fixes every place at once. The
+facts are read in order: the local ones, the quaternion subgroup, the
+relations in sheet order, then the alpha facts. Places left Unknown are
+closed under the even-ramification parity of quaternion classes, and the
+engine emits either the unique answer, the candidate discriminants
+compatible with the facts, or an under-determined verdict. Every decision
+carries a trace line naming the rule and the reason it applies.
 """
 
 from __future__ import annotations
@@ -182,9 +184,6 @@ class AlphaFacts:
         self.indicator_ext = indicator_ext
 
 
-Relation = Union[RestrictionRelation, InductionRelation, TensorRelation]
-
-
 class CharacterFactSheet:
     """Everything the engine may know about one even-degree character."""
 
@@ -270,24 +269,6 @@ class DeductionReport(NamedTuple):
     trace: tuple
 
 
-_CIT_Q8 = (
-    "a quaternion subgroup through the central involution restricts every"
-    " faithful character to multiples of its symplectic character, giving"
-    " Delta(chi) = [(-1,-1)]^(degree/2)"
-)
-_CIT_RESTRICTION = (
-    "Delta(chi) is the product of the constituent contributions of a unitary"
-    " stable restriction"
-)
-_CIT_INDUCTION = (
-    "a unitary stable induced character multiplies the class of psi by the"
-    " parity of the subgroup index"
-)
-_CIT_TENSOR = "Delta(chi tensor psi) = Delta(chi)^deg(psi) when the product is unitary stable"
-_CIT_ALPHA = (
-    "the discriminant of the alpha-fixed Hermitian space determines disc(chi)"
-    " as ldisc(q)^m times the alpha-discriminant"
-)
 _CIT_PARITY = "a quaternion class over Q ramifies at an even number of places"
 
 
@@ -334,13 +315,14 @@ def candidate_places(sheet: CharacterFactSheet) -> list:
 
 
 class _Rule(NamedTuple):
-    """One local criterion: the fact kinds it reads, the place kinds it
-    applies to, a condition on the fact, and the status it gives (or a
-    function of the fact and the place giving it)."""
+    """One criterion: the fact kinds it reads, the place kinds it applies
+    to, a condition on the fact, and the status it gives (or a function of
+    the fact and the place giving it). A class rule has no place kinds: its
+    status is a function of the fact and the sheet giving the whole class."""
 
     name: str
     reads: tuple
-    places: tuple
+    places: Optional[tuple]
     when: Optional[Callable]
     status: Union[PlaceStatus, Callable]
     citation: str
@@ -382,13 +364,55 @@ _RULES = (
           "for a perfect group with even center, an odd prime p ramified in L"
           " ramifies in Delta(chi) iff (-1)^(d/2) is a nonsquare mod p, where d is"
           " the mod-4 dimension sum of the orthogonal constituents"),
+    _Rule("quaternion subgroup", ("q8_subgroup",), None, lambda s: s.q8_subgroup,
+          lambda s, sheet: q8_class(sheet.degree, sheet.field),
+          "a quaternion subgroup through the central involution restricts every"
+          " faithful character to multiples of its symplectic character, giving"
+          " Delta(chi) = [(-1,-1)]^(degree/2)"),
+    _Rule("restriction to subgroup", (RestrictionRelation,), None, None,
+          lambda rel, sheet: combine_restriction(sheet.field, rel.constituents),
+          "Delta(chi) is the product of the constituent contributions of a unitary"
+          " stable restriction"),
+    _Rule("induction from subgroup", (InductionRelation,), None, lambda rel: rel.field_degree_odd,
+          lambda rel, sheet: combine_induction(rel.psi_delta, rel.index, rel.field_degree_odd),
+          "a unitary stable induced character multiplies the class of psi by the"
+          " parity of the subgroup index"),
+    _Rule("tensor factorisation", (TensorRelation,), None, None,
+          lambda rel, sheet: combine_tensor(rel.delta_chi, rel.psi_degree),
+          "Delta(chi tensor psi) = Delta(chi)^deg(psi) when the product is unitary stable"),
+    _Rule("alpha fixed algebra", ("alpha_facts",), None, None,
+          lambda a, sheet: alpha_class(a.q_class, a.m, a.alpha_disc, a.indicator_ext, sheet.field),
+          "the discriminant of the alpha-fixed Hermitian space determines disc(chi)"
+          " as ldisc(q)^m times the alpha-discriminant"),
 )
 
 
+# the rows of _RULES that read each fact kind, in table order
+_READERS = {read: [r for r in _RULES if read in r.reads] for rule in _RULES for read in rule.reads}
+
+
+def _apply(asg: _Assignment, sheet: CharacterFactSheet, facts):
+    """Settle each (fact kind, fact, places) by the rows _READERS[kind]
+    whose condition holds: each place by the first row for its kind, or,
+    for a fact about the whole class (places None), every candidate place
+    by the first row. The first rule at a place is the one named in the
+    trace and in contradictions; every later one must agree."""
+    for read, fact, places in facts:
+        if read not in _READERS:  # only a relation can be of a kind that no row reads
+            raise DeduceError(f"unknown relation record: {fact!r}")
+        rules = [r for r in _READERS[read] if r.when is None or r.when(fact)]
+        if places is None and rules:
+            asg.assign_class(rules[0].status(fact, sheet), rules[0].name, rules[0].citation)
+        for v in places or ():
+            for rule in rules:
+                if asg.kinds.get(v) in rule.places:
+                    status = rule.status(fact, v) if callable(rule.status) else rule.status
+                    asg.assign(v, status, rule.name, rule.citation)
+                    break
+
+
 def _local_assignment(sheet: CharacterFactSheet) -> _Assignment:
-    """Each fact, at each place it speaks about, is settled by the first row
-    of _RULES that matches; the first rule at a place is the one named in
-    the trace and in contradictions, and every later one must agree."""
+    """The assignment made by the local facts and the quaternion subgroup."""
     asg = _Assignment(sheet)
     finite = [v for v in asg.kinds if v != INF]
     s = sheet.structural
@@ -400,48 +424,22 @@ def _local_assignment(sheet: CharacterFactSheet) -> _Assignment:
     if s is not None:
         facts.append(("center_order", s, finite))
         facts += [("orth_dim_sum_mod4", s, [p]) for p in sorted(s.orth_dim_sum_mod4)]
-    for read, fact, places in facts:
-        rules = [r for r in _RULES if read in r.reads and (r.when is None or r.when(fact))]
-        for v in places:
-            for rule in rules:
-                if asg.kinds.get(v) in rule.places:
-                    status = rule.status(fact, v) if callable(rule.status) else rule.status
-                    asg.assign(v, status, rule.name, rule.citation)
-                    break
-    if s is not None and s.q8_subgroup:
-        asg.assign_class(q8_class(sheet.degree, sheet.field), "quaternion subgroup", _CIT_Q8)
+        facts.append(("q8_subgroup", s, None))
+    _apply(asg, sheet, facts)
     return asg
 
 
 def apply_local_rules(sheet: CharacterFactSheet) -> dict:
-    """Status of every candidate place after the purely local rules."""
+    """Status of every candidate place after the local rules and the
+    quaternion subgroup."""
     return dict(_local_assignment(sheet).statuses)
-
-
-def _apply_relations(sheet: CharacterFactSheet, asg: _Assignment):
-    for rel in sheet.relations:
-        if isinstance(rel, RestrictionRelation):
-            cls = combine_restriction(sheet.field, rel.constituents)
-            asg.assign_class(cls, "restriction to subgroup", _CIT_RESTRICTION)
-        elif isinstance(rel, InductionRelation):
-            cls = combine_induction(rel.psi_delta, rel.index, rel.field_degree_odd)
-            if cls is not None:
-                asg.assign_class(cls, "induction from subgroup", _CIT_INDUCTION)
-        elif isinstance(rel, TensorRelation):
-            cls = combine_tensor(rel.delta_chi, rel.psi_degree)
-            asg.assign_class(cls, "tensor factorisation", _CIT_TENSOR)
-        else:
-            raise DeduceError(f"unknown relation record: {rel!r}")
-    if sheet.alpha_facts is not None:
-        a = sheet.alpha_facts
-        cls = alpha_class(a.q_class, a.m, a.alpha_disc, a.indicator_ext, sheet.field)
-        asg.assign_class(cls, "alpha fixed algebra", _CIT_ALPHA)
 
 
 def resolve(sheet: CharacterFactSheet) -> DeductionReport:
     """Run the full pipeline on one sheet.
 
-    Local rules first, then globally combined classes, then parity closure.
+    The local rules and the quaternion subgroup first, then the relations
+    in sheet order and the alpha facts, then parity closure.
     Up to _MAX_FREE_PLACES free places (unknowns that do not split in L)
     are enumerated into parity-even classes, with the minimal squarefree
     discriminant when chi is quasi-split: Unique when one class survives,
@@ -449,7 +447,8 @@ def resolve(sheet: CharacterFactSheet) -> DeductionReport:
     """
     L = sheet.field
     asg = _local_assignment(sheet)
-    _apply_relations(sheet, asg)
+    alpha = [] if sheet.alpha_facts is None else [("alpha_facts", sheet.alpha_facts, None)]
+    _apply(asg, sheet, [(type(rel), rel, None) for rel in sheet.relations] + alpha)
 
     # parity closure: even ramification decides a single unknown place
     statuses = asg.statuses

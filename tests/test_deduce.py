@@ -536,6 +536,34 @@ class TestApplyLocalRules:
         statuses = apply_local_rules(sheet_2s63_chi2())
         assert statuses == {INF: R, 2: R, 3: U, 5: U, 7: U, 13: U}
 
+    def test_relations_and_alpha_facts_are_not_local(self):
+        # each of them contradicts the quaternion class, but only resolve
+        # applies them, after the quaternion subgroup
+        s = sheet_2s63_chi2()
+        with_global = CharacterFactSheet(
+            id=s.id,
+            degree=s.degree,
+            field=s.field,
+            group_order_factors=s.group_order_factors,
+            structural=s.structural,
+            alpha_facts=AlphaFacts(q_class=cls(), m=2, alpha_disc=5, indicator_ext="+"),
+            relations=(
+                RestrictionRelation(
+                    (Constituent(indicator="o", degree=2, delta_class=cls(INF, 2, 3, 5)),)
+                ),
+                InductionRelation(cls(INF, 3), index=1, field_degree_odd=True),
+                TensorRelation(cls(3, 5), psi_degree=1),
+            ),
+        )
+        quaternion = {INF: R, 2: R, 3: U, 5: U, 7: U, 13: U}
+        assert apply_local_rules(with_global) == apply_local_rules(s) == quaternion
+        with pytest.raises(
+            DeduceError,
+            match="^contradiction at place 3: rule 'quaternion subgroup' gives Unramified,"
+            " rule 'restriction to subgroup' gives Ramified$",
+        ):
+            resolve(with_global)
+
     def test_contradictory_stability_facts_rejected(self):
         s = CharacterFactSheet(
             id="x",
@@ -741,6 +769,17 @@ class TestResolveErrors:
             structural=Structural(q8_subgroup=True, perfect=True, center_order=2, faithful=True),
         )
         with pytest.raises(DeduceError, match="contradiction"):
+            resolve(s)
+
+    def test_unknown_relation_record(self):
+        s = CharacterFactSheet(
+            id="x",
+            degree=4,
+            field=Q3,
+            group_order_factors={2: 1, 3: 1},
+            relations=(TensorRelation(cls(), psi_degree=2), object()),
+        )
+        with pytest.raises(DeduceError, match="^unknown relation record: <object object at "):
             resolve(s)
 
     def test_alpha_class_outside_candidate_places(self):

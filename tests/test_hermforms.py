@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from udisc.brauer import BrauerClassQ, from_pair
+from udisc.brauer import from_pair
 from udisc.hermforms import (
     HermitianGram,
     SquareTest,

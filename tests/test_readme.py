@@ -3,7 +3,8 @@
 Every `udisc ...` line in a README code block goes through `main` from
 the repository root, and the shown `deduce` transcript must match the
 real output. Every key the bundled fact files use is named in the
-README's "Fact files" section.
+README's "Fact files" section, and the "Deduction" rule table names each
+row of `_RULES`.
 """
 import json
 import shlex
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from udisc.cli import corpus_dir, main
+from udisc.deduce import _RULES
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -67,3 +69,10 @@ def test_fact_file_keys_are_documented():
     for f in corpus_dir().glob("*.json"):
         used.update(_keys(json.loads(f.read_text())))
     assert sorted(k for k in used if "`%s`" % k not in section) == []
+
+
+def test_rule_table_names_every_rule():
+    section = README.split("* **Deduction.**")[1].split("\n## ")[0]
+    rows = [line.strip() for line in section.splitlines() if line.strip().startswith("| ")]
+    names = [row.strip("|").split("|")[-1].strip() for row in rows[1:]]
+    assert names == [r.name for r in _RULES]

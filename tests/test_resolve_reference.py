@@ -31,6 +31,7 @@ kind of local fact at every kind of place, the status `apply_local_rules`
 gives a place is the one that the sets allowed by every rule force on it.
 """
 
+import random
 from collections import Counter
 from itertools import combinations, product
 
@@ -65,6 +66,8 @@ from udisc.deduce import (
 )
 from udisc.quadfield import ImagQuadField, PrimeBehavior, prime_behavior
 from udisc.symbols import INF
+
+from test_trace_golden import SEED, SHEETS, draw_sheet
 
 # 2 ramifies in Q(i), Q(sqrt-2), Q(sqrt-5); is inert in Q(sqrt-3); splits
 # in Q(sqrt-7), Q(sqrt-15)
@@ -320,6 +323,16 @@ def test_local_rules_give_what_the_reference_forces(L, p):
             assert status is want, (args, v)
 
 
+def drawn_sheets():
+    """The sheets of the trace golden file that the constructor accepts."""
+    rng = random.Random(SEED)
+    for _ in range(SHEETS):
+        try:
+            yield draw_sheet(rng)
+        except ValueError:
+            pass
+
+
 def test_each_rule_has_one_citation():
     citations = {}
     for L, p in GRID_PLACES:
@@ -330,6 +343,15 @@ def test_each_rule_has_one_citation():
                 continue
             for line in trace:
                 citations.setdefault(line.rule, set()).add(line.citation)
+    # the grid has only local facts; the drawn sheets add the class rules,
+    # and their alpha facts may name a field that does not split the class
+    for sheet in drawn_sheets():
+        try:
+            trace = resolve(sheet).trace
+        except ValueError:
+            continue
+        for line in trace:
+            citations.setdefault(line.rule, set()).add(line.citation)
     assert set(citations) == {r.name for r in _RULES} | {"parity closure"}
     assert all(len(c) == 1 for c in citations.values())
     assert {r.name: {r.citation} for r in _RULES}.items() <= citations.items()
