@@ -3,8 +3,9 @@
 Fact files are JSON documents describing either a character fact sheet
 (block "character", optional top-level "relations") or a Hermitian Gram
 matrix (block "gram"), with all rationals written as integers or
-[numerator, denominator] pairs. The table COMMANDS at the end names the
-five subcommands, their arguments and their help lines.
+[numerator, denominator] pairs. Each kind of object in them is one table
+of its keys, readers and defaults, and a test checks that the README names
+every key. The table COMMANDS at the end names the five subcommands.
 
 Exit codes: 0 success, 1 error, 2 inconclusive deduction (candidate
 list or under-determined), 3 corpus mismatch.
@@ -68,6 +69,18 @@ def corpus_dir() -> Path:
 
 # ---------------------------------------------------------------------------
 # fact file schema
+#
+# Each kind of fact-file object is one table at the end of this section, and
+# _read reads an object through its table. A table maps each accepted key to
+# (reader, default) in read order. A missing key is read as its default: None
+# for a required key, which every reader refuses, while _OMIT leaves it
+# unread. A row keyed by a function is a rule over several keys, checked at
+# that point; one that returns true ends the read. Readers and rules also
+# take got, the values read so far and those passed in by the caller.
+
+_OMIT = object()
+# the document itself; its keys are named without a prefix
+_DOC = "fact file"
 
 
 def _fail(path, msg):
@@ -78,30 +91,29 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _as_int(v, path):
-    if not _is_int(v):
-        _fail(path, "expected an integer")
-    return v
-
-def _as_pos_int(v, path):
-    if not _is_int(v) or v <= 0:
-        _fail(path, "expected a positive integer")
+def _raw(v, path, got=None):
     return v
 
 
-def _as_bool(v, path):
-    if not isinstance(v, bool):
-        _fail(path, "expected true or false")
-    return v
+def _check(test, msg, read=None):
+    """A reader that refuses a value failing test, read first with read."""
+    def check(v, path, got=None):
+        if read:
+            v = read(v, path)
+        if not test(v):
+            _fail(path, msg)
+        return v
+    return check
 
 
-def _as_str(v, path):
-    if not isinstance(v, str):
-        _fail(path, "expected a string")
-    return v
+_as_int = _check(_is_int, "expected an integer")
+_as_pos_int = _check(lambda v: _is_int(v) and v > 0, "expected a positive integer")
+_as_bool = _check(lambda v: isinstance(v, bool), "expected true or false")
+_as_str = _check(lambda v: isinstance(v, str), "expected a string")
+_as_list = _check(lambda v: isinstance(v, list), "expected a list")
 
 
-def _as_fraction(v, path):
+def _as_fraction(v, path, got=None):
     if _is_int(v):
         v = [v, 1]
     if not (isinstance(v, list) and len(v) == 2 and all(_is_int(x) for x in v)):
@@ -117,7 +129,10 @@ def _as_fraction(v, path):
     return q
 
 
-def _as_places(v, path):
+_as_nonzero = _check(bool, "must be nonzero", _as_fraction)
+
+
+def _as_places(v, path, got=None):
     if not isinstance(v, list):
         _fail(path, "expected a list of places")
     out = set()
@@ -129,6 +144,24 @@ def _as_places(v, path):
         else:
             _fail("%s[%d]" % (path, i), 'expected "inf" or a prime')
     return frozenset(out)
+
+
+def _as_class(v, path, got=None):
+    return _wrap(path, BrauerClassQ, _as_places(v, path))
+
+
+def _as_field(v, path, got=None):
+    return _wrap(path, ImagQuadField, _as_pos_int(v, path))
+
+
+def _as_status(v, path, got=None):
+    from .deduce import FactStatus
+
+    s = _as_str(v, path)
+    try:
+        return FactStatus(s)
+    except ValueError:
+        _fail(path, "expected one of %s" % ", ".join(m.value for m in FactStatus))
 
 
 class _DuplicateKeys(dict):
@@ -160,12 +193,6 @@ def _as_obj(v, path, allowed=None):
     return v
 
 
-def _as_list(v, path):
-    if not isinstance(v, list):
-        _fail(path, "expected a list")
-    return v
-
-
 def _wrap(path, fn, *args, **kwargs):
     # turn semantic constructor errors into schema errors carrying the path
     try:
@@ -186,180 +213,89 @@ def _prime_key(k, path):
     return p
 
 
-def _load_mod_fact(v, path):
-    from .deduce import FactStatus, ModFact
-
-    _as_obj(v, path, {"p", "status", "defect_one", "external"})
-    p = _as_int(v.get("p"), path + ".p")
-    if not is_prime(p):
-        _fail(path + ".p", "not a prime")
-    s = _as_str(v.get("status"), path + ".status")
-    try:
-        status = FactStatus(s)
-    except ValueError:
-        _fail(path + ".status", "expected one of %s"
-              % ", ".join(m.value for m in FactStatus))
-    defect_one = _as_bool(v.get("defect_one", False), path + ".defect_one")
-    external = _as_bool(v.get("external", False), path + ".external")
-    return _wrap(path, ModFact, p, status, defect_one=defect_one, external=external)
+def _prime_map(read, nonempty=None):
+    """A reader of a {prime: value} object, which must not be empty if the
+    message nonempty is given; d[k] = x reads each x before its k."""
+    def read_map(v, path, got=None):
+        if nonempty and not (isinstance(v, dict) and v):
+            _fail(path, nonempty)
+        out = {}
+        for k, x in _as_obj(v, path).items():
+            kp = "%s.%s" % (path, k)
+            out[_prime_key(k, kp)] = read(x, kp)
+        return out
+    return read_map
 
 
-def _load_structural(v, path):
-    from .deduce import Structural
-
-    _as_obj(v, path, {"q8_subgroup", "perfect", "center_order",
-                      "orth_dim_sum_mod4", "faithful"})
-    dims = {}
-    raw = _as_obj(v.get("orth_dim_sum_mod4", {}), path + ".orth_dim_sum_mod4")
-    for k, d in raw.items():
-        kp = "%s.orth_dim_sum_mod4.%s" % (path, k)
-        dims[_prime_key(k, kp)] = _as_int(d, kp)
-    return _wrap(
-        path, Structural,
-        q8_subgroup=_as_bool(v.get("q8_subgroup", False), path + ".q8_subgroup"),
-        perfect=_as_bool(v.get("perfect", False), path + ".perfect"),
-        center_order=_as_pos_int(v.get("center_order", 1), path + ".center_order"),
-        orth_dim_sum_mod4=dims,
-        faithful=_as_bool(v.get("faithful", False), path + ".faithful"),
-    )
+def _read(v, path, table, **got):
+    """Read the JSON object v through table; return the values it gives."""
+    _as_obj(v, path, table)
+    at = "" if path == _DOC else path + "."
+    out = {}
+    for key, row in table.items():
+        if row is None:
+            if key(v, path, got):
+                break
+        elif (x := v.get(key, row[1])) is not _OMIT:
+            got[key] = out[key] = row[0](x, at + key, got)
+    return out
 
 
-def _load_alpha(v, path):
-    from .deduce import AlphaFacts
-
-    _as_obj(v, path, {"q_class", "m", "indicator_ext", "alpha_disc", "parts"})
-    q_class = _wrap(path + ".q_class", BrauerClassQ,
-                    _as_places(v.get("q_class", []), path + ".q_class"))
-    m = _as_pos_int(v.get("m"), path + ".m")
-    ind = _as_str(v.get("indicator_ext"), path + ".indicator_ext")
-    if ("alpha_disc" in v) == ("parts" in v):
-        _fail(path, "give exactly one of alpha_disc and parts")
-    if "alpha_disc" in v:
-        alpha_disc = _as_fraction(v["alpha_disc"], path + ".alpha_disc")
-    else:
-        # determinant of the fixed space under the extending element,
-        # folded part by part with the sign (-1)^(dim/2)
-        alpha_disc = Fraction(1)
-        for i, part in enumerate(_as_list(v["parts"], path + ".parts")):
-            pp = "%s.parts[%d]" % (path, i)
-            _as_obj(part, pp, {"dim", "det"})
-            dim = _as_pos_int(part.get("dim"), pp + ".dim")
-            if dim % 2:
-                _fail(pp + ".dim", "expected a positive even integer")
-            det = _as_fraction(part.get("det"), pp + ".det")
-            if det == 0:
-                _fail(pp + ".det", "determinant must be nonzero")
-            alpha_disc *= det if (dim // 2) % 2 == 0 else -det
-    if alpha_disc == 0:
-        _fail(path + ".alpha_disc", "must be nonzero")
-    return _wrap(path, AlphaFacts, q_class, m, alpha_disc, ind)
+def _list_of(read):
+    """A reader of a JSON list that reads entry i with read, at <path>[i]."""
+    def read_list(v, path, got=None):
+        return [read(x, "%s[%d]" % (path, i), got) for i, x in enumerate(_as_list(v, path))]
+    return read_list
 
 
-def _load_constituent(v, path, L):
-    from .deduce import Constituent
+def _record(name, table, **fields):
+    """A reader of an object through table into the deduce record name, with
+    fields naming the field of each key whose name differs. Its readers
+    also see the values of the enclosing object."""
+    def read(v, path, got):
+        from . import deduce
 
-    _as_obj(v, path, {"indicator", "degree", "mult", "hyperbolic",
-                      "class_ram", "ortho_disc", "delta_disc", "delta_ram"})
-    brauer_class = None
-    if "class_ram" in v:
-        brauer_class = _wrap(path + ".class_ram", BrauerClassQ,
-                             _as_places(v["class_ram"], path + ".class_ram"))
-    ortho_disc = None
-    if "ortho_disc" in v:
-        ortho_disc = _as_fraction(v["ortho_disc"], path + ".ortho_disc")
-    if "delta_disc" in v and "delta_ram" in v:
-        _fail(path, "give at most one of delta_disc and delta_ram")
-    delta_class = None
-    if "delta_disc" in v:
-        d = _as_fraction(v["delta_disc"], path + ".delta_disc")
-        if d == 0:
-            _fail(path + ".delta_disc", "must be nonzero")
-        delta_class = _wrap(path + ".delta_disc", from_pair, L.field_disc, d)
-    elif "delta_ram" in v:
-        delta_class = _wrap(path + ".delta_ram", BrauerClassQ,
-                            _as_places(v["delta_ram"], path + ".delta_ram"))
-    return _wrap(
-        path, Constituent,
-        _as_str(v.get("indicator"), path + ".indicator"),
-        _as_pos_int(v.get("degree"), path + ".degree"),
-        mult=_as_pos_int(v.get("mult", 1), path + ".mult"),
-        brauer_class=brauer_class,
-        ortho_disc=ortho_disc,
-        delta_class=delta_class,
-        hyperbolic=_as_bool(v.get("hyperbolic", False), path + ".hyperbolic"),
-    )
+        f = _read(v, path, table, **got)
+        return _wrap(path, getattr(deduce, name),
+                     **{fields.get(k, k): x for k, x in f.items() if k != "kind"})
+    return read
 
 
-def _load_relation(v, path, L):
-    from .deduce import InductionRelation, RestrictionRelation, TensorRelation
-
-    if not isinstance(v, dict) or "kind" not in v:
-        _fail(path, 'expected an object with a "kind" key')
-    kind = _as_str(v["kind"], path + ".kind")
-    if kind == "restriction":
-        _as_obj(v, path, {"kind", "constituents"})
-        cons = [_load_constituent(c, "%s.constituents[%d]" % (path, i), L)
-                for i, c in enumerate(_as_list(v.get("constituents"),
-                                               path + ".constituents"))]
-        return RestrictionRelation(tuple(cons))
-    if kind == "induction":
-        _as_obj(v, path, {"kind", "psi_class_ram", "index", "field_degree_odd"})
-        psi = _wrap(path + ".psi_class_ram", BrauerClassQ,
-                    _as_places(v.get("psi_class_ram", []), path + ".psi_class_ram"))
-        return _wrap(path, InductionRelation, psi,
-                     _as_pos_int(v.get("index"), path + ".index"),
-                     _as_bool(v.get("field_degree_odd"), path + ".field_degree_odd"))
-    if kind == "tensor":
-        _as_obj(v, path, {"kind", "class_ram", "psi_degree"})
-        cls = _wrap(path + ".class_ram", BrauerClassQ,
-                    _as_places(v.get("class_ram", []), path + ".class_ram"))
-        return _wrap(path, TensorRelation, cls,
-                     _as_pos_int(v.get("psi_degree"), path + ".psi_degree"))
-    _fail(path + ".kind", "unknown relation kind %r" % kind)
+def _kind(what, **kinds):
+    """A reader of an object whose "kind" key picks its reader from kinds,
+    or its table, to read it as a dict."""
+    def read(v, path, got=None):
+        if not isinstance(v, dict) or "kind" not in v:
+            _fail(path, 'expected an object with a "kind" key')
+        kind = _as_str(v["kind"], path + ".kind")
+        if kind not in kinds:
+            _fail(path + ".kind", "unknown %s kind %r" % (what, kind))
+        r = kinds[kind]
+        return _read(v, path, r) if isinstance(r, dict) else r(v, path, got)
+    return read
 
 
-def _load_sheet(v, relations_raw, fid, path):
+def _as_parts(v, path, got=None):
+    # determinant of the fixed space under the extending element,
+    # folded part by part with the sign (-1)^(dim/2)
+    disc = Fraction(1)
+    for part in _list_of(lambda x, xpath, got: _read(x, xpath, _PART))(v, path):
+        disc *= part["det"] if (part["dim"] // 2) % 2 == 0 else -part["det"]
+    return disc
+
+
+def _as_relations(v, path, got):
+    # the character's relations, then the top-level ones
+    return [_RELATION(r, "%s[%d]" % (rp, i), got)
+            for src, rp in ((v, path), (got["top_relations"], "relations"))
+            for i, r in enumerate(_as_list(src, rp))]
+
+
+def _load_sheet(v, path, got):
     from .deduce import CharacterFactSheet
 
-    _as_obj(v, path, {"degree", "delta0", "group_order_factors", "quasi_split",
-                      "split_schur_trivial", "mod_facts", "structural",
-                      "alpha_facts", "relations"})
-    degree = _as_pos_int(v.get("degree"), path + ".degree")
-    L = _wrap(path + ".delta0", ImagQuadField,
-              _as_pos_int(v.get("delta0"), path + ".delta0"))
-    factors = {}
-    raw = v.get("group_order_factors")
-    if not isinstance(raw, dict) or not raw:
-        _fail(path + ".group_order_factors",
-              "expected an object of prime: exponent entries")
-    _as_obj(raw, path + ".group_order_factors")
-    for k, e in raw.items():
-        kp = "%s.group_order_factors.%s" % (path, k)
-        factors[_prime_key(k, kp)] = _as_pos_int(e, kp)
-    mod_facts = tuple(
-        _load_mod_fact(m, "%s.mod_facts[%d]" % (path, i))
-        for i, m in enumerate(_as_list(v.get("mod_facts", []), path + ".mod_facts"))
-    )
-    structural = None
-    if "structural" in v:
-        structural = _load_structural(v["structural"], path + ".structural")
-    alpha = None
-    if "alpha_facts" in v:
-        alpha = _load_alpha(v["alpha_facts"], path + ".alpha_facts")
-    rels = []
-    for src, rp in ((v.get("relations", []), path + ".relations"),
-                    (relations_raw, "relations")):
-        for i, r in enumerate(_as_list(src, rp)):
-            rels.append(_load_relation(r, "%s[%d]" % (rp, i), L))
-    return _wrap(
-        path, CharacterFactSheet,
-        id=fid, degree=degree, field=L, group_order_factors=factors,
-        quasi_split=_as_bool(v.get("quasi_split", True), path + ".quasi_split"),
-        split_schur_trivial=_as_bool(v.get("split_schur_trivial", True),
-                                     path + ".split_schur_trivial"),
-        mod_facts=mod_facts, structural=structural, alpha_facts=alpha,
-        relations=tuple(rels),
-    )
+    f = _read(v, path, _SHEET, top_relations=got["relations"])
+    return _wrap(path, CharacterFactSheet, id=got["id"], field=f.pop("delta0"), **f)
 
 
 # A larger Gram matrix is refused before any entry is built; the README's
@@ -367,13 +303,10 @@ def _load_sheet(v, relations_raw, fid, path):
 MAX_GRAM_DIM = 32
 
 
-def _load_gram(v, path):
+def _load_gram(v, path, got=None):
     from .hermforms import HermitianGram
 
-    _as_obj(v, path, {"delta0", "entries"})
-    L = _wrap(path + ".delta0", ImagQuadField,
-              _as_pos_int(v.get("delta0"), path + ".delta0"))
-    rows = _as_list(v.get("entries"), path + ".entries")
+    L, rows = _read(v, path, _GRAM).values()
     n = len(rows)
     if n > MAX_GRAM_DIM:
         _fail(path + ".entries", "%d rows, more than the limit of %d" % (n, MAX_GRAM_DIM))
@@ -398,23 +331,104 @@ def _load_gram(v, path):
     return _wrap(path, HermitianGram._scaled, L, s, X, Y)
 
 
-def _load_expected(v, path):
-    if not isinstance(v, dict) or "kind" not in v:
-        _fail(path, 'expected an object with a "kind" key')
-    kind = _as_str(v["kind"], path + ".kind")
-    if kind in ("unique", "hform"):
-        _as_obj(v, path, {"kind", "disc", "ram"})
-        ram = _as_places(v.get("ram"), path + ".ram")
-        return {"kind": kind, "disc": _as_int(v.get("disc"), path + ".disc"),
-                "ram": sorted(ram, key=place_sort_key)}
-    if kind == "candidates":
-        _as_obj(v, path, {"kind", "discs"})
-        discs = [_as_int(d, "%s.discs[%d]" % (path, i))
-                 for i, d in enumerate(_as_list(v.get("discs"), path + ".discs"))]
-        if not discs:
-            _fail(path + ".discs", "expected at least one candidate")
-        return {"kind": kind, "discs": discs}
-    _fail(path + ".kind", "unknown expected kind %r" % kind)
+# the tables
+_MOD_FACT = {
+    "p": (_check(is_prime, "not a prime", _as_int), None),
+    "status": (_as_status, None),
+    "defect_one": (_as_bool, False),
+    "external": (_as_bool, False),
+}
+_STRUCTURAL = {
+    "orth_dim_sum_mod4": (_prime_map(_as_int), {}),
+    "q8_subgroup": (_as_bool, False),
+    "perfect": (_as_bool, False),
+    "center_order": (_as_pos_int, 1),
+    "faithful": (_as_bool, False),
+}
+_PART = {
+    "dim": (_check(lambda d: not d % 2, "expected a positive even integer", _as_pos_int), None),
+    "det": (_check(bool, "determinant must be nonzero", _as_fraction), None),
+}
+_ALPHA = {
+    "q_class": (_as_class, []),
+    "m": (_as_pos_int, None),
+    "indicator_ext": (_as_str, None),
+    (lambda v, path, got: ("alpha_disc" in v) == ("parts" in v)
+     and _fail(path, "give exactly one of alpha_disc and parts")): None,
+    "alpha_disc": (_as_nonzero, _OMIT),
+    "parts": (_as_parts, _OMIT),
+}
+_CONSTITUENT = {
+    "class_ram": (_as_class, _OMIT),
+    "ortho_disc": (_as_fraction, _OMIT),
+    (lambda v, path, got: "delta_disc" in v and "delta_ram" in v
+     and _fail(path, "give at most one of delta_disc and delta_ram")): None,
+    # the class of (disc L, delta_disc), L from the character's delta0
+    "delta_disc": (lambda v, path, got: _wrap(path, from_pair, got["delta0"].field_disc,
+                                              _as_nonzero(v, path)), _OMIT),
+    "delta_ram": (_as_class, _OMIT),
+    "indicator": (_as_str, None),
+    "degree": (_as_pos_int, None),
+    "mult": (_as_pos_int, 1),
+    "hyperbolic": (_as_bool, False),
+}
+_RESTRICTION = {
+    "kind": (_as_str, None),
+    "constituents": (_list_of(_record("Constituent", _CONSTITUENT, class_ram="brauer_class",
+                                      delta_disc="delta_class", delta_ram="delta_class")), None),
+}
+_INDUCTION = {
+    "kind": (_as_str, None),
+    "psi_class_ram": (_as_class, []),
+    "index": (_as_pos_int, None),
+    "field_degree_odd": (_as_bool, None),
+}
+_TENSOR = {"kind": (_as_str, None), "class_ram": (_as_class, []),
+           "psi_degree": (_as_pos_int, None)}
+_RELATION = _kind(
+    "relation", restriction=_record("RestrictionRelation", _RESTRICTION),
+    induction=_record("InductionRelation", _INDUCTION, psi_class_ram="psi_delta"),
+    tensor=_record("TensorRelation", _TENSOR, class_ram="delta_chi"))
+_SHEET = {
+    "degree": (_as_pos_int, None),
+    "delta0": (_as_field, None),
+    "group_order_factors": (_prime_map(_as_pos_int, "expected an object of prime: exponent"
+                                                    " entries"), None),
+    "mod_facts": (_list_of(_record("ModFact", _MOD_FACT)), []),
+    "structural": (_record("Structural", _STRUCTURAL), _OMIT),
+    "alpha_facts": (_record("AlphaFacts", _ALPHA, parts="alpha_disc"), _OMIT),
+    "relations": (_as_relations, []),
+    "quasi_split": (_as_bool, True),
+    "split_schur_trivial": (_as_bool, True),
+}
+_GRAM = {"delta0": (_as_field, None), "entries": (_as_list, None)}
+_CLASS_EXPECTED = {
+    "kind": (_as_str, None),
+    "ram": (lambda v, path, got: sorted(_as_places(v, path), key=place_sort_key), None),
+    "disc": (_as_int, None),
+}
+_CANDIDATES_EXPECTED = {
+    "kind": (_as_str, None),
+    "discs": (_check(bool, "expected at least one candidate", _list_of(_as_int)), None),
+}
+_FILE = {
+    "id": (_as_str, _OMIT),
+    "note": (_as_str, ""),
+    "expected": (_kind("expected", unique=_CLASS_EXPECTED, hform=_CLASS_EXPECTED,
+                       candidates=_CANDIDATES_EXPECTED), _OMIT),
+    "out_of_scope": (_as_bool, False),
+    # a row outside the tool's scope is read no further
+    (lambda v, path, got: got["out_of_scope"]): None,
+    # read with the character block, after its own relations
+    "relations": (_raw, []),
+    "character": (_load_sheet, _OMIT),
+    (lambda v, path, got: "relations" in v and "character" not in got
+     and _fail("relations", "requires a character block")): None,
+    "gram": (_load_gram, _OMIT),
+    # recorded, not read
+    "degree": (_raw, _OMIT),
+    "field": (_raw, _OMIT),
+}
 
 
 def load_fact_file(path) -> FactFile:
@@ -429,28 +443,13 @@ def load_fact_file(path) -> FactFile:
         raise FactFileError("line %d, column %d: %s" % (e.lineno, e.colno, e.msg))
     except ValueError as e:
         # an integer literal beyond the interpreter's 4300-digit limit
-        _fail("fact file", e)
+        _fail(_DOC, e)
     except RecursionError:
-        _fail("fact file", "nested too deeply")
-    _as_obj(doc, "fact file", {"id", "note", "character", "gram", "relations",
-                               "expected", "out_of_scope", "degree", "field"})
-    fid = _as_str(doc.get("id", path.stem), "id")
-    note = _as_str(doc.get("note", ""), "note")
-    expected = None
-    if "expected" in doc:
-        expected = _load_expected(doc["expected"], "expected")
-    if _as_bool(doc.get("out_of_scope", False), "out_of_scope"):
-        return FactFile(id=fid, out_of_scope=True, note=note, expected=expected)
-    sheet = None
-    if "character" in doc:
-        sheet = _load_sheet(doc["character"], doc.get("relations", []),
-                            fid, "character")
-    elif "relations" in doc:
-        _fail("relations", "requires a character block")
-    gram = None
-    if "gram" in doc:
-        gram = _load_gram(doc["gram"], "gram")
-    return FactFile(id=fid, sheet=sheet, gram=gram, expected=expected, note=note)
+        _fail(_DOC, "nested too deeply")
+    f = _read(doc, _DOC, _FILE, id=path.stem)
+    return FactFile(id=f.get("id", path.stem), sheet=f.get("character"),
+                    gram=f.get("gram"), expected=f.get("expected"),
+                    out_of_scope=f["out_of_scope"], note=f["note"])
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,17 @@
 
 Every `udisc ...` line in a README code block goes through `main` from
 the repository root, and the shown `deduce` transcript must match the
-real output. Every key the bundled fact files use is named in the
-README's "Fact files" section, and the "Deduction" rule table names each
-row of `_RULES`.
+real output. Every key that a table of the fact-file loader accepts is
+named in the README's "Fact files" section, and the "Deduction" rule table
+names each row of `_RULES`.
 """
-import json
 import shlex
 from pathlib import Path
 
 import pytest
 
-from udisc.cli import corpus_dir, main
+from udisc import cli
+from udisc.cli import main
 from udisc.deduce import _RULES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,23 +52,25 @@ def test_transcript_matches(lines, capsys, monkeypatch):
             assert line in out, line
 
 
-def _keys(node):
-    if isinstance(node, dict):
-        for k, v in node.items():
-            if not k.isdigit():
-                yield k
-            yield from _keys(v)
-    elif isinstance(node, list):
-        for v in node:
-            yield from _keys(v)
+def _is_table(t):
+    # a schema table: rows (reader, default), and rules keyed by a function
+    return isinstance(t, dict) and t and all(
+        row is None and callable(k) or isinstance(k, str) and isinstance(row, tuple)
+        and len(row) == 2 and callable(row[0]) for k, row in t.items())
+
+
+TABLES = {name: t for name, t in vars(cli).items() if _is_table(t)}
+
+
+def test_loader_tables_are_found():
+    assert {"_FILE", "_SHEET", "_CONSTITUENT", "_GRAM", "_CANDIDATES_EXPECTED"} <= set(TABLES)
+    assert len(TABLES) == 13
 
 
 def test_fact_file_keys_are_documented():
     section = README.split("### Fact files")[1].split("\n## ")[0]
-    used = set()
-    for f in corpus_dir().glob("*.json"):
-        used.update(_keys(json.loads(f.read_text())))
-    assert sorted(k for k in used if "`%s`" % k not in section) == []
+    accepted = {k for t in TABLES.values() for k in t if isinstance(k, str)}
+    assert sorted(k for k in accepted if "`%s`" % k not in section) == []
 
 
 def test_rule_table_names_every_rule():

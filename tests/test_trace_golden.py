@@ -14,6 +14,7 @@ Rewrite the golden file only for an intended trace change:
 """
 import json
 import random
+import traceback
 from pathlib import Path
 
 from udisc.brauer import BrauerClassQ
@@ -64,7 +65,8 @@ def draw_sheet(rng):
                              external=p not in primes))
     structural = None
     if rng.random() < 0.5:
-        keys = rng.sample(finite + [OUTSIDE], rng.randint(0, 3))
+        pool = finite + [OUTSIDE]
+        keys = rng.sample(pool, min(rng.randint(0, 3), len(pool)))
         structural = Structural(
             q8_subgroup=rng.random() < 0.25,
             perfect=rng.random() < 0.5,
@@ -121,6 +123,17 @@ def test_golden_covers_every_outcome():
     golden = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
     assert len(golden) == SHEETS
     assert {next(iter(o)) for o in golden} == {"trace", "error", "refused"}
+
+
+def test_draws_fail_only_in_constructors():
+    # a refused sheet is one a udisc constructor rejects, never a failed draw
+    rng = random.Random(SEED)
+    for i in range(SHEETS):
+        try:
+            draw_sheet(rng)
+        except ValueError as e:
+            where = traceback.extract_tb(e.__traceback__)[-1].filename
+            assert Path(where).parent.name == "udisc", "sheet %d: %s" % (i, e)
 
 
 def test_traces_match_golden():
