@@ -19,10 +19,19 @@ from .quadfield import ImagQuadField, PrimeBehavior, norm_class, prime_behavior
 from .symbols import (
     INF,
     Rational,
+    _as_fraction,
+    hasse_symbol,
     hilbert,
+    place_sort_key,
     relevant_places,
     render_places,
 )
+
+
+def _place(v):
+    if v != INF and (not isinstance(v, int) or not is_prime(v)):
+        raise ValueError(f"not a place of Q: {v!r}")
+    return v
 
 
 class BrauerClassQ:
@@ -32,12 +41,10 @@ class BrauerClassQ:
     __slots__ = ("ram",)
 
     def __init__(self, ram):
-        ram = frozenset(ram)
+        ram = frozenset(map(_place, ram))
         if len(ram) % 2 != 0:
-            raise ValueError(f"ramification set must have even size: {set(ram)}")
-        for v in ram:
-            if v != INF and (not isinstance(v, int) or not is_prime(v)):
-                raise ValueError(f"not a place of Q: {v!r}")
+            raise ValueError("ramification set must have even size: {%s}"
+                             % ", ".join(repr(v) for v in sorted(ram, key=place_sort_key)))
         self.ram = ram
 
     def __eq__(self, other):
@@ -64,8 +71,11 @@ class BrauerClassQ:
 def from_pair(a: Rational, b: Rational, places: list | None = None) -> BrauerClassQ:
     """Class of the symbol algebra (a,b)_Q; places, when given, must hold
     every place where it may ramify (relevant_places(a, b) does)."""
-    ram = frozenset(v for v in places or relevant_places(a, b) if hilbert(a, b, v) == -1)
-    return BrauerClassQ(ram)
+    places = places or relevant_places(a, b)
+    zs = [q.numerator * q.denominator for q in map(_as_fraction, (a, b))]
+    if 0 in zs:
+        raise ValueError("hilbert symbol needs nonzero arguments")
+    return BrauerClassQ(v for v in places if hasse_symbol(zs, _place(v)) == -1)
 
 
 def splits_in(c: BrauerClassQ, L: ImagQuadField) -> bool:
@@ -78,10 +88,8 @@ def splits_in(c: BrauerClassQ, L: ImagQuadField) -> bool:
     )
 
 
-@lru_cache(maxsize=4096)
-def _column(b: int, L: ImagQuadField) -> frozenset:
-    # the norm class of one basis element: -1 or a prime
-    return norm_class(b, L)
+# the norm class of one basis element: -1 or a prime
+_column = lru_cache(maxsize=4096)(norm_class)
 
 
 @lru_cache(maxsize=256)

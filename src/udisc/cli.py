@@ -360,7 +360,7 @@ _ALPHA = {
 }
 _CONSTITUENT = {
     "class_ram": (_as_class, _OMIT),
-    "ortho_disc": (_as_fraction, _OMIT),
+    "ortho_disc": (_as_nonzero, _OMIT),
     (lambda v, path, got: "delta_disc" in v and "delta_ram" in v
      and _fail(path, "give at most one of delta_disc and delta_ram")): None,
     # the class of (disc L, delta_disc), L from the character's delta0
@@ -624,8 +624,8 @@ def _parse_rational(s: str) -> Fraction:
         # str() refuses integers over the interpreter's digit limit, which
         # the fact-file loader also rejects; 10**limit is one digit over
         str(10 ** limit if big else a)
-    except ValueError as e:
-        raise ValueError("rational %r: %s" % (s, e))
+    except ValueError:
+        raise ValueError("rational %r: more than %d digits" % (s, limit)) from None
     if a == 0:
         raise ValueError("argument must be nonzero")
     return a

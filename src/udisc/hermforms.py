@@ -10,11 +10,12 @@ is the quaternion class (field_disc, disc)_Q. Transfer to a 2n-dimensional
 rational quadratic form preserves that class as the Clifford invariant.
 
 A HermitianGram keeps H as integer matrices and runs one fraction-free
-congruence elimination when it is built; det(H) is the diagonal's product.
-The transfer is <1, delta0> (x) <a_1, ..., a_n>, so its Hasse symbol at v is
-(det, -delta0)_v (delta0, -1)_v^(n(n-1)/2). Only det(H) and delta0 are
-factored, and ``symbols.hasse_symbol`` reads the 2n coefficients at the
-places where that symbol or delta may be -1, a set isometries keep.
+congruence elimination when it is built; det(H) is the diagonal's product,
+and form_invariants takes it once. The transfer is <1, delta0> (x) <a_1,
+..., a_n>, so its Hasse symbol at v is (det, -delta0)_v (delta0, -1)_v^(n(n-1)/2).
+Only det(H) and delta0 are factored; ``symbols.hasse_symbol`` reads each
+pivot a/b as the integers a*b and delta0*a*b, at the places where that
+symbol or delta may be -1, a set isometries keep.
 """
 
 import enum
@@ -147,15 +148,11 @@ def _congruence_diagonal(s: int, X: tuple, Y: tuple, d: int) -> tuple:
         bx, by = xe[e + 1:], ye[e + 1:]
         for xi, yi in zip(X[e + 1:], Y[e + 1:]):
             ax, ay = xi[e], yi[e]
-            if ax or ay:
-                day = d * ay
-                xi[e + 1:] = [(p * x - ax * u + day * v) // prev
-                              for x, u, v in zip(xi[e + 1:], bx, by)]
-                yi[e + 1:] = [(p * y - ax * v - ay * u) // prev
-                              for y, u, v in zip(yi[e + 1:], bx, by)]
-            else:
-                xi[e + 1:] = [p * x // prev for x in xi[e + 1:]]
-                yi[e + 1:] = [p * y // prev for y in yi[e + 1:]]
+            day = d * ay
+            xi[e + 1:] = [(p * x - ax * u + day * v) // prev
+                          for x, u, v in zip(xi[e + 1:], bx, by)]
+            yi[e + 1:] = [(p * y - ax * v - ay * u) // prev
+                          for y, u, v in zip(yi[e + 1:], bx, by)]
         prev = p
     return tuple(diag)
 
@@ -179,10 +176,9 @@ def signed_det(h: HermitianGram) -> Fraction:
     return _disc_sign(h.n) * math.prod(h.diagonal)
 
 
-def delta(h: HermitianGram, places: list | None = None) -> BrauerClassQ:
-    """Discriminant algebra class (field_disc, signed det)_Q; places, when
-    given, holds every place where it may ramify."""
-    return from_pair(h.field.field_disc, signed_det(h), places)
+def delta(h: HermitianGram) -> BrauerClassQ:
+    """Discriminant algebra class (field_disc, signed det)_Q."""
+    return from_pair(h.field.field_disc, signed_det(h))
 
 
 def disc(h: HermitianGram) -> int:
@@ -275,31 +271,25 @@ class FormInvariants(NamedTuple):
     clifford: BrauerClassQ
 
 
-def _places(h: HermitianGram) -> list:
-    # inf, 2, the primes of delta0 and the inert primes at which det has odd
-    # valuation: at any other p, det is a local norm from L and delta0, -1 are
-    # units, so delta and the Hasse symbol are +1 there
-    det, L = signed_det(h), h.field
-    inert = {p for m in (det.numerator, det.denominator) for p, e in factor(m)
-             if e % 2 and prime_behavior(L, p) is PrimeBehavior.INERT}
-    return [INF] + sorted({2, *prime_factors(L.delta0), *inert})
-
-
 def form_invariants(h: HermitianGram) -> FormInvariants:
     """delta and disc from det(h), the product of the diagonal h built, and
-    the transfer's invariants from that diagonal, read at _places(h).
+    the transfer's invariants from that diagonal, a pivot a/b read as a*b.
+    The places read are inf, 2, the primes of delta0 and the inert primes
+    where det has odd valuation: at any other p, det is a local norm from L
+    and delta0, -1 are units, so delta and the Hasse symbol are +1 there.
 
     clifford == delta (`clifford_ok` in the report) checks the transfer
     identity, not the diagonalization: that is `oracle_det` in the tests
     and `oracle.determinant` in the benchmark."""
-    places = _places(h)
-    dlt = delta(h, places)
-    q = transfer_quadratic(h)
+    det, L = signed_det(h), h.field
+    inert = {p for m in (det.numerator, det.denominator) for p, e in factor(m)
+             if e % 2 and prime_behavior(L, p) is PrimeBehavior.INERT}
+    places = [INF] + sorted({2, *prime_factors(L.delta0), *inert})
+    dlt = from_pair(L.field_disc, det, places)
+    q = tuple(a.numerator * a.denominator * e for a in h.diagonal for e in (1, L.delta0))
     inv = quad_invariants(q, places)
-    return FormInvariants(
-        dlt, l_disc(dlt, h.field), is_positive_definite(h), inv,
-        clifford_invariant(q, inv)
-    )
+    return FormInvariants(dlt, l_disc(dlt, L), is_positive_definite(h), inv,
+                          clifford_invariant(q, inv))
 
 
 def squarefree_reduce_at(diag, L: ImagQuadField, p: int):

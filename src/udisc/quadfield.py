@@ -16,6 +16,7 @@ from .symbols import (
     Rational,
     _as_fraction,
     _val_unit,
+    hasse_symbol,
     hilbert,
     legendre,
     relevant_places,
@@ -110,8 +111,8 @@ def norm_class(a: Rational, L: ImagQuadField) -> frozenset[Place]:
     a = _as_fraction(a)
     if a == 0:
         raise ValueError("norm class of 0 is undefined")
-    d = L.field_disc
-    return frozenset(v for v in relevant_places(a, d) if hilbert(a, d, v) == -1)
+    z, d = a.numerator * a.denominator, L.field_disc
+    return frozenset(v for v in relevant_places(a, d) if hasse_symbol((z, d), v) == -1)
 
 
 def is_norm(a: Rational, L: ImagQuadField) -> bool:

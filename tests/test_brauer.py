@@ -5,6 +5,7 @@ against the op's own defining property: the returned t has the right
 norm class, and no integer of smaller absolute value does.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from udisc.arith import prime_factors, primes_up_to
 from udisc.brauer import BrauerClassQ, from_pair, l_disc, pair_presentation, splits_in
 from udisc.quadfield import ImagQuadField, PrimeBehavior, norm_class, prime_behavior
-from udisc.symbols import INF
+from udisc.symbols import INF, hilbert, relevant_places
 
 Q1 = ImagQuadField(1)
 Q2 = ImagQuadField(2)
@@ -29,6 +30,12 @@ SPLIT = PrimeBehavior.SPLIT
 nonzero = st.fractions(min_value=-200, max_value=200, max_denominator=20).filter(
     lambda q: q != 0
 )
+# ints and Fractions of both signs, whose numerators and denominators share
+# primes with each other and with the field discriminants
+rationals = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4),
+).filter(lambda q: q != 0)
 
 
 def brute_minimality_check(t, cls, L, bound=None):
@@ -117,6 +124,18 @@ class TestConstruction:
         with pytest.raises(ValueError, match="not a place of Q"):
             BrauerClassQ(ram)
 
+    def test_odd_set_is_named_in_place_order(self):
+        with pytest.raises(ValueError) as e:
+            BrauerClassQ([13, 2, INF, 11, 7, 5, 3])
+        assert str(e.value) == ("ramification set must have even size:"
+                                " {'inf', 2, 3, 5, 7, 11, 13}")
+
+    @pytest.mark.parametrize("ram", [{"x", 3, 5}, {"x", INF, 3}, {4.5, "x", 3}])
+    def test_odd_set_with_a_non_place_is_a_value_error(self, ram):
+        # a string beside the primes must not make sorting the message fail
+        with pytest.raises(ValueError):
+            BrauerClassQ(ram)
+
     @settings(max_examples=300)
     @given(nonzero, nonzero)
     def test_even_and_symmetric(self, a, b):
@@ -127,6 +146,40 @@ class TestConstruction:
     @given(nonzero, nonzero, nonzero)
     def test_multiplicative_in_second_argument(self, a, b, c):
         assert from_pair(a, b * c) == from_pair(a, b).mul(from_pair(a, c))
+
+
+class TestIntegerPath:
+    """from_pair and norm_class read each argument as the integer numerator
+    times denominator; hilbert, the rational door, is the reference."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rationals, rationals, st.sampled_from([1, 2, 3, 5, 7, 10, 15, 19]))
+    def test_symbols_match_hilbert(self, a, b, d):
+        want = {v for v in relevant_places(a, b) if hilbert(a, b, v) == -1}
+        assert from_pair(a, b).ram == want
+        assert from_pair(a, b, relevant_places(a, b)).ram == want
+        D = ImagQuadField(d).field_disc
+        want = {v for v in relevant_places(a, D) if hilbert(a, D, v) == -1}
+        assert norm_class(a, ImagQuadField(d)) == want
+
+    @pytest.mark.parametrize("args,msg", [
+        ((0, 3), "factorization of 0 is undefined"),
+        ((3, Fraction(0)), "factorization of 0 is undefined"),
+        ((0, 3, [INF, 2, 3]), "hilbert symbol needs nonzero arguments"),
+        ((3, Fraction(0, 7), [INF]), "hilbert symbol needs nonzero arguments"),
+        ((3, 5, [INF, 4]), "not a place of Q: 4"),
+        ((3, 5, [1]), "not a place of Q: 1"),
+    ])
+    def test_from_pair_keeps_its_errors(self, args, msg):
+        # hasse_symbol never ends on a zero coefficient or the place 1
+        with pytest.raises(ValueError) as e:
+            from_pair(*args)
+        assert str(e.value) == msg
+
+    @pytest.mark.parametrize("a", [0, Fraction(0, 3)])
+    def test_norm_class_of_zero(self, a):
+        with pytest.raises(ValueError, match="^norm class of 0 is undefined$"):
+            norm_class(a, Q3)
 
 
 class TestValueSemantics:

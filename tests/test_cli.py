@@ -182,7 +182,7 @@ class TestSymbolCommand:
     def test_rational_over_digit_limit_rejected(self, capsys, command, a, mode):
         rc, out, err = run(capsys, *mode, command, a, "3")
         assert (rc, out) == (1, "")
-        assert err.startswith("error: rational %r: Exceeds the limit" % a)
+        assert err == "error: rational %r: more than %d digits\n" % (a, sys.get_int_max_str_digits())
 
 
     # Fraction would compute 10**exponent before any digit check
@@ -193,7 +193,7 @@ class TestSymbolCommand:
         rc, out, err = run(capsys, command, a, "3")
         assert time.perf_counter() - start < 1.0
         assert (rc, out) == (1, "")
-        assert err.startswith("error: rational %r: Exceeds the limit" % a)
+        assert err == "error: rational %r: more than %d digits\n" % (a, sys.get_int_max_str_digits())
 
     def test_exponent_within_digit_limit_is_read(self, capsys):
         rc, out, _ = run(capsys, "symbol", "1e4299", "3")
@@ -336,17 +336,18 @@ class TestHformCommand:
     def test_each_stage_runs_once_per_form(self, monkeypatch):
         import udisc.hermforms as hf
 
-        # the one elimination runs when the Gram matrix is built; det(h)
-        # and the transfer both read its diagonal
+        # the one elimination runs when the Gram matrix is built; det(h) is
+        # taken once, and the places, delta and the transfer all read it or
+        # the diagonal
         calls = []
-        for name in ("_congruence_diagonal", "delta"):
+        for name in ("_congruence_diagonal", "signed_det"):
             def counted(*args, _real=getattr(hf, name), _name=name):
                 calls.append(_name)
                 return _real(*args)
 
             monkeypatch.setattr(hf, name, counted)
         hform_report(corpus_path("q10_unimod4"))
-        assert sorted(calls) == ["_congruence_diagonal", "delta"]
+        assert sorted(calls) == ["_congruence_diagonal", "signed_det"]
 
     def test_nondiagonal_entries(self, capsys, tmp_path):
         # det = 2*6 - N(1 + sqrt(-10)) = 12 - 11 = 1, positive definite
@@ -1180,6 +1181,8 @@ class TestLoader:
          "relations[0].constituents[0]: give at most one of delta_disc and delta_ram"),
         (lambda d: _constituent(d).update(delta_disc=0),
          "relations[0].constituents[0].delta_disc: must be nonzero"),
+        (lambda d: _constituent(d).update(indicator="+", class_ram=[], ortho_disc=[0, 5]),
+         "relations[0].constituents[0].ortho_disc: must be nonzero"),
         (lambda d: d["relations"][0].pop("kind"),
          'relations[0]: expected an object with a "kind" key'),
         (lambda d: d["character"].update(alpha_facts={
