@@ -14,24 +14,9 @@ from functools import lru_cache
 from itertools import combinations
 from math import prod
 
-from .arith import is_prime, prime_factors, primes_up_to
+from .arith import prime_factors, primes_up_to
 from .quadfield import ImagQuadField, PrimeBehavior, norm_class, prime_behavior
-from .symbols import (
-    INF,
-    Rational,
-    _as_fraction,
-    hasse_symbol,
-    hilbert,
-    place_sort_key,
-    relevant_places,
-    render_places,
-)
-
-
-def _place(v):
-    if v != INF and (not isinstance(v, int) or not is_prime(v)):
-        raise ValueError(f"not a place of Q: {v!r}")
-    return v
+from .symbols import INF, Rational, _place, _symbol_set, hilbert, place_sort_key, render_places
 
 
 class BrauerClassQ:
@@ -71,11 +56,7 @@ class BrauerClassQ:
 def from_pair(a: Rational, b: Rational, places: list | None = None) -> BrauerClassQ:
     """Class of the symbol algebra (a,b)_Q; places, when given, must hold
     every place where it may ramify (relevant_places(a, b) does)."""
-    places = places or relevant_places(a, b)
-    zs = [q.numerator * q.denominator for q in map(_as_fraction, (a, b))]
-    if 0 in zs:
-        raise ValueError("hilbert symbol needs nonzero arguments")
-    return BrauerClassQ(v for v in places if hasse_symbol(zs, _place(v)) == -1)
+    return BrauerClassQ(_symbol_set(a, b, places))
 
 
 def splits_in(c: BrauerClassQ, L: ImagQuadField) -> bool:

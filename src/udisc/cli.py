@@ -14,6 +14,8 @@ Each process answers one question, so each subcommand loads only the
 modules it uses. symbol and isnorm load arith, symbols, quadfield and
 brauer; deduce adds deduce, hform adds hermforms, and corpus adds both.
 The functions here that need deduce or hermforms import them locally.
+Shared decisions stay in their module: symbols checks places and builds
+place sets, and hermforms scales the Gram cells that the loader checks.
 """
 from __future__ import annotations
 
@@ -21,14 +23,13 @@ import json
 import re
 import sys
 from fractions import Fraction
-from math import gcd, lcm
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .arith import FactoringLimit, factor, is_prime
 from .brauer import BrauerClassQ, from_pair, pair_presentation
 from .quadfield import ImagQuadField, is_norm
-from .symbols import INF, hilbert, place_sort_key, relevant_places, render_places
+from .symbols import INF, _place, hilbert, place_sort_key, relevant_places, render_places
 
 if TYPE_CHECKING:
     from .deduce import CharacterFactSheet, DeductionReport
@@ -310,8 +311,6 @@ def _load_gram(v, path, got=None):
     n = len(rows)
     if n > MAX_GRAM_DIM:
         _fail(path + ".entries", "%d rows, more than the limit of %d" % (n, MAX_GRAM_DIM))
-    # H = s^-1 (X + Y sqrt(-delta0)), s the lcm of the reduced denominators
-    dens = set()
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             _fail("%s.entries[%d]" % (path, i), "expected a row of %d entries" % n)
@@ -323,12 +322,7 @@ def _load_gram(v, path, got=None):
                       "expected [x_num, x_den, y_num, y_den]")
             if b == 0 or d == 0:
                 _fail("%s.entries[%d][%d]" % (path, i, j), "zero denominator")
-            if b != 1 or d != 1:
-                dens.update((b // gcd(a, b), d // gcd(c, d)))
-    s = lcm(*dens)
-    X = tuple(tuple(c[0] * s // c[1] for c in row) for row in rows)
-    Y = tuple(tuple(c[2] * s // c[3] for c in row) for row in rows)
-    return _wrap(path, HermitianGram._scaled, L, s, X, Y)
+    return _wrap(path, HermitianGram._from_cells, L, rows)
 
 
 # the tables
@@ -441,9 +435,10 @@ def load_fact_file(path) -> FactFile:
         doc = json.loads(raw, object_pairs_hook=_json_object)
     except json.JSONDecodeError as e:
         raise FactFileError("line %d, column %d: %s" % (e.lineno, e.colno, e.msg))
-    except ValueError as e:
-        # an integer literal beyond the interpreter's 4300-digit limit
-        _fail(_DOC, e)
+    except ValueError:
+        # an integer literal beyond the interpreter's limit, whose own
+        # message differs between Python versions
+        _fail(_DOC, "an integer has more than %d digits" % sys.get_int_max_str_digits())
     except RecursionError:
         _fail(_DOC, "nested too deeply")
     f = _read(doc, _DOC, _FILE, id=path.stem)
@@ -597,15 +592,10 @@ def cmd_hform(as_json, file) -> int:
 
 
 def _parse_place(s: str):
-    if s == "inf":
-        return INF
     try:
-        p = int(s)
+        return _place(INF if s == "inf" else int(s))
     except ValueError:
-        p = -1
-    if p < 2 or not is_prime(p):
-        raise ValueError('place must be "inf" or a prime')
-    return p
+        raise ValueError('place must be "inf" or a prime') from None
 
 
 # a decimal exponent, which Fraction turns into 10**exponent before any check
@@ -646,7 +636,11 @@ def cmd_symbol(as_json, a, b, place=None) -> int:
 
 def cmd_isnorm(as_json, a, delta0) -> int:
     a = _parse_rational(a)
-    L = ImagQuadField(int(delta0))
+    try:
+        delta0 = int(delta0)
+    except ValueError:
+        pass  # ImagQuadField refuses the string itself, in its own words
+    L = ImagQuadField(delta0)
     ans = is_norm(a, L)
     if as_json:
         print(json.dumps({"a": str(a), "delta0": L.delta0, "is_norm": ans}))

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional, Union
 from .arith import is_prime
 from .brauer import BrauerClassQ, from_pair, l_disc, splits_in
 from .quadfield import ImagQuadField, PrimeBehavior, prime_behavior
-from .symbols import INF, Place, Rational, legendre, place_sort_key
+from .symbols import INF, Place, Rational, legendre, place_sort_key, relevant_places
 
 # more free places would need > 2^8 parity-even completions
 _MAX_FREE_PLACES = 9
@@ -310,8 +310,7 @@ def candidate_places(sheet: CharacterFactSheet) -> list:
     """Places allowed to ramify in Delta(chi): infinity and the divisors of
     2|G|. Invariant lattices exist at every other prime, so those places are
     unramified from the start."""
-    primes = {2} | set(sheet.group_order_factors)
-    return [INF] + sorted(primes)
+    return relevant_places(*sheet.group_order_factors)
 
 
 class _Rule(NamedTuple):

@@ -9,10 +9,12 @@ The discriminant of an n-dimensional form is the square class of
 is the quaternion class (field_disc, disc)_Q. Transfer to a 2n-dimensional
 rational quadratic form preserves that class as the Clifford invariant.
 
-A HermitianGram keeps H as integer matrices and runs one fraction-free
-congruence elimination when it is built; det(H) is the diagonal's product,
-and form_invariants takes it once. The transfer is <1, delta0> (x) <a_1,
-..., a_n>, so its Hasse symbol at v is (det, -delta0)_v (delta0, -1)_v^(n(n-1)/2).
+A HermitianGram keeps H as integer matrices, scaled here from QuadElem
+entries or from the fact-file loader's checked cells alike, and runs one
+fraction-free congruence elimination when it is built; det(H) is the
+diagonal's product, and form_invariants takes it once. The transfer is
+<1, delta0> (x) <a_1, ..., a_n>, so its Hasse symbol at v is
+(det, -delta0)_v (delta0, -1)_v^(n(n-1)/2).
 Only det(H) and delta0 are factored; ``symbols.hasse_symbol`` reads each
 pivot a/b as the integers a*b and delta0*a*b, at the places where that
 symbol or delta may be -1, a set isometries keep.
@@ -23,11 +25,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import factor, prime_factors
+from .arith import factor
 from .brauer import BrauerClassQ, from_pair, l_disc
 from .quadfield import ImagQuadField, PrimeBehavior, QuadElem, prime_behavior
 from .symbols import (
-    INF,
     _as_fraction,
     _unit_mod,
     _val_unit,
@@ -55,21 +56,23 @@ class HermitianGram:
                 raise ValueError("Gram matrix must be square")
             if not all(isinstance(e, QuadElem) and e.field == field for e in row):
                 raise ValueError("entries must be elements of the given field")
-        s = math.lcm(*{q.denominator for row in entries for a in row for q in (a.x, a.y)})
-        self._build(field, s,
-                    tuple(tuple(a.x.numerator * (s // a.x.denominator) for a in row)
-                          for row in entries),
-                    tuple(tuple(a.y.numerator * (s // a.y.denominator) for a in row)
-                          for row in entries))
+        self._build(field, [[(a.x.numerator, a.x.denominator, a.y.numerator, a.y.denominator)
+                             for a in row] for row in entries])
 
     @classmethod
-    def _scaled(cls, field: ImagQuadField, s: int, X: tuple, Y: tuple) -> "HermitianGram":
-        # the loader's constructor: it builds no entry
+    def _from_cells(cls, field: ImagQuadField, cells: list) -> "HermitianGram":
+        # the loader's constructor, from its checked cells: it builds no entry
         h = cls.__new__(cls)
-        h._build(field, s, X, Y)
+        h._build(field, cells)
         return h
 
-    def _build(self, field, s, X, Y):
+    def _build(self, field, cells):
+        # cells are [x_num, x_den, y_num, y_den] with nonzero denominators, of
+        # any sign and not reduced; s is the lcm of the reduced denominators
+        s = math.lcm(*{b // math.gcd(a, b) for row in cells for a, b, _, _ in row if b != 1},
+                     *{d // math.gcd(c, d) for row in cells for _, _, c, d in row if d != 1})
+        X = tuple(tuple(c[0] * s // c[1] for c in row) for row in cells)
+        Y = tuple(tuple(c[2] * s // c[3] for c in row) for row in cells)
         self.field, self._s, self._x, self._y = field, s, X, Y
         # the one elimination's pivots; it also rejects non-Hermitian or degenerate H
         self.diagonal = _congruence_diagonal(s, X, Y, field.delta0)
@@ -284,7 +287,7 @@ def form_invariants(h: HermitianGram) -> FormInvariants:
     det, L = signed_det(h), h.field
     inert = {p for m in (det.numerator, det.denominator) for p, e in factor(m)
              if e % 2 and prime_behavior(L, p) is PrimeBehavior.INERT}
-    places = [INF] + sorted({2, *prime_factors(L.delta0), *inert})
+    places = relevant_places(L.delta0, *inert)
     dlt = from_pair(L.field_disc, det, places)
     q = tuple(a.numerator * a.denominator * e for a in h.diagonal for e in (1, L.delta0))
     inv = quad_invariants(q, places)

@@ -15,8 +15,8 @@ from .symbols import (
     Place,
     Rational,
     _as_fraction,
+    _symbol_set,
     _val_unit,
-    hasse_symbol,
     hilbert,
     legendre,
     relevant_places,
@@ -111,8 +111,7 @@ def norm_class(a: Rational, L: ImagQuadField) -> frozenset[Place]:
     a = _as_fraction(a)
     if a == 0:
         raise ValueError("norm class of 0 is undefined")
-    z, d = a.numerator * a.denominator, L.field_disc
-    return frozenset(v for v in relevant_places(a, d) if hasse_symbol((z, d), v) == -1)
+    return _symbol_set(a, L.field_disc)
 
 
 def is_norm(a: Rational, L: ImagQuadField) -> bool:

@@ -4,8 +4,11 @@ Everything downstream (norm classes, Brauer classes, discriminants)
 reduces to the local symbols computed here.  One kernel evaluates them:
 ``hasse_symbol`` folds the signs, valuation parities and unit residues of
 integer coefficients at one place, and ``hilbert`` is its two-coefficient
-case.  All arithmetic is exact: rationals are ``fractions.Fraction``,
-integers are factored by ``udisc.arith``.
+case.  This module also owns what every caller needs around that kernel:
+the check that a value is a place of Q (``_place``), the set of places a
+symbol may be -1 at (``relevant_places``), and the set where it is -1
+(``_symbol_set``).  All arithmetic is exact: rationals are
+``fractions.Fraction``, integers are factored by ``udisc.arith``.
 """
 
 from __future__ import annotations
@@ -116,17 +119,27 @@ def hasse_symbol(zs, v: Place) -> int:
     return 1 if pow(g, (p - 1) // 2, p) == 1 else -1
 
 
+def _place(v) -> Place:
+    """v itself, when it is INF or a prime; the one check of a place of Q."""
+    if v != INF and (not isinstance(v, int) or not is_prime(v)):
+        raise ValueError(f"not a place of Q: {v!r}")
+    return v
+
+
+def _square_classes(a: Rational, b: Rational) -> tuple[int, int]:
+    # each rational enters hasse_symbol as numerator times denominator
+    a, b = _as_fraction(a), _as_fraction(b)
+    za, zb = a.numerator * a.denominator, b.numerator * b.denominator
+    if not (za and zb):
+        raise ValueError("hilbert symbol needs nonzero arguments")
+    return za, zb
+
+
 def hilbert(a: Rational, b: Rational, v: Place) -> int:
     """Local Hilbert symbol (a,b)_v: +1 if split, -1 if division algebra.
 
-    It is the Hasse symbol of <a, b>, each rational entering as numerator
-    times denominator."""
-    a, b = _as_fraction(a), _as_fraction(b)
-    if a == 0 or b == 0:
-        raise ValueError("hilbert symbol needs nonzero arguments")
-    if v != INF and (not isinstance(v, int) or not is_prime(v)):
-        raise ValueError(f"not a place of Q: {v!r}")
-    return hasse_symbol((a.numerator * a.denominator, b.numerator * b.denominator), v)
+    It is the Hasse symbol of <a, b>."""
+    return hasse_symbol(_square_classes(a, b), _place(v))
 
 
 def relevant_places(*qs: Rational) -> list[Place]:
@@ -140,6 +153,14 @@ def relevant_places(*qs: Rational) -> list[Place]:
         q = _as_fraction(q)
         primes.update(prime_factors(q.numerator), prime_factors(q.denominator))
     return [INF] + sorted(primes)
+
+
+def _symbol_set(a: Rational, b: Rational, places: list | None = None) -> frozenset:
+    """The places v where (a,b)_v = -1, among places when given (they must
+    hold every such place) or else relevant_places(a, b)."""
+    places = places or relevant_places(a, b)
+    zs = _square_classes(a, b)
+    return frozenset(v for v in places if hasse_symbol(zs, _place(v)) == -1)
 
 
 def hilbert_reciprocity_check(a: Rational, b: Rational) -> bool:
