@@ -13,6 +13,7 @@ minimal in absolute value and positive on ties.
 from functools import lru_cache
 from itertools import combinations
 from math import prod
+from typing import NamedTuple
 
 from .arith import prime_factors, primes_up_to
 from .quadfield import ImagQuadField, PrimeBehavior, norm_class, prime_behavior
@@ -64,18 +65,27 @@ def splits_in(c: BrauerClassQ, L: ImagQuadField) -> bool:
 
     The infinite place never obstructs since L is imaginary.
     """
-    return all(
-        v == INF or prime_behavior(L, v) != PrimeBehavior.SPLIT for v in c.ram
-    )
+    for v in c.ram:
+        if v != INF and prime_behavior(L, v) is PrimeBehavior.SPLIT:
+            return False
+    return True
 
 
 # the norm class of one basis element: -1 or a prime
 _column = lru_cache(maxsize=4096)(norm_class)
 
 
-@lru_cache(maxsize=256)
-def _split_products(L: ImagQuadField) -> dict:
-    """Smallest product of distinct odd split primes in each norm class.
+def _mask(places, bit: dict) -> int:
+    # a set of places as a bitmask over bit
+    m = 0
+    for v in places:
+        m |= bit[v]
+    return m
+
+
+def _split_products(L: ImagQuadField, bit: dict) -> dict:
+    """Smallest product of distinct odd split primes in each norm class,
+    keyed by the class as a bitmask over bit.
 
     A split prime's class lies on the primes dividing field_disc and has
     even size there; by genus theory every such set is the class of some
@@ -84,7 +94,7 @@ def _split_products(L: ImagQuadField) -> dict:
     at the first split prime above every entry's product.
     """
     want = 1 << (len(prime_factors(L.field_disc)) - 1)
-    best = {frozenset(): 1}
+    best = {0: 1}
     lo, hi = 2, 64
     while True:
         for p in primes_up_to(hi):
@@ -92,7 +102,7 @@ def _split_products(L: ImagQuadField) -> dict:
                 continue
             if len(best) == want and p > max(best.values()):
                 return best
-            col = _column(p, L)
+            col = _mask(_column(p, L), bit)
             for w, m in list(best.items()):
                 if w ^ col not in best or m * p < best[w ^ col]:
                     best[w ^ col] = m * p
@@ -130,38 +140,41 @@ def _solve(pivots: list, target: int) -> int | None:
     return None if target else x
 
 
-def l_disc(c: BrauerClassQ, L: ImagQuadField) -> int:
-    """Canonical signed squarefree t with norm class of t in L equal to c.ram.
+class _NormSystem(NamedTuple):
+    """The norm classes of L as linear algebra over F2.
 
-    Minimal |t| wins; positive wins a sign tie. Raises when L does not
-    split c (no such t exists then).
-
-    The norm class is a homomorphism on square classes, so t is linear
-    algebra over F2. Write t = s * m. The part s is a signed product over
-    S = primes(2 * field_disc) together with the finite ramified places of
-    c. The part m is a product of split primes outside S. A split prime
-    moves the class only on the primes dividing field_disc. So for each
-    class w of the cached table of smallest split products m, solve
-    class(s) = c + w over the basis {-1} u S, and take the smallest s in
-    the coset of the kernel.
+    basis: -1 and the primes of 2 * field_disc (2 even when inert), whose
+    products s are the signed part of a representative. bit: one bit for
+    each of inf, 2 and the primes of field_disc, the places where such an s
+    or a split prime can have a nonzero symbol. pivots and kernel: the
+    echelon form of the basis columns. splits: the table of
+    _split_products. smallest: the smallest s * m of each class solved so
+    far, None where there is none, keyed like splits.
     """
-    if not splits_in(c, L):
-        raise ValueError("L is not a splitting field")
-    primes = set(prime_factors(2 * L.field_disc))
-    primes.update(v for v in c.ram if v != INF)
-    basis = [-1] + sorted(primes)
-    bits = {}
 
-    def mask(places):
-        m = 0
-        for v in places:
-            m |= 1 << bits.setdefault(v, len(bits))
-        return m
+    basis: list
+    bit: dict
+    pivots: list
+    kernel: list
+    splits: dict
+    smallest: dict
 
-    pivots, kernel = _echelon([mask(_column(b, L)) for b in basis])
+
+@lru_cache(maxsize=256)
+def _system(L: ImagQuadField) -> _NormSystem:
+    basis = [-1] + prime_factors(2 * L.field_disc)
+    bit = {v: 1 << i for i, v in enumerate(dict.fromkeys([INF, 2] + basis[1:]))}
+    pivots, kernel = _echelon([_mask(_column(b, L), bit) for b in basis])
+    return _NormSystem(basis, bit, pivots, kernel, _split_products(L, bit), {})
+
+
+def _smallest(system: _NormSystem, target: int) -> int | None:
+    # the smallest s * m whose class is target: for each class w of the
+    # split products, solve class(s) = target + w and walk the kernel coset
+    basis, _, pivots, kernel, splits, _ = system
     best = None
-    for w, m in _split_products(L).items():
-        x = _solve(pivots, mask(c.ram ^ w))
+    for w, m in splits.items():
+        x = _solve(pivots, target ^ w)
         if x is None:
             continue
         for k in range(1 << len(kernel)):
@@ -175,11 +188,48 @@ def l_disc(c: BrauerClassQ, L: ImagQuadField) -> int:
                     t *= b
             if best is None or (abs(t), t < 0) < (abs(best), best < 0):
                 best = t
+    return best
+
+
+def l_disc(c: BrauerClassQ, L: ImagQuadField) -> int:
+    """Canonical signed squarefree t with norm class of t in L equal to c.ram.
+
+    Minimal |t| wins; positive wins a sign tie. Raises when L does not
+    split c (no such t exists then).
+
+    The norm class is a homomorphism on square classes, so t is linear
+    algebra over F2. Write t = f * s * m. At an odd inert q,
+    (t, field_disc)_q = (-1)^v_q(t), and no other factor below has the bit
+    q, so q divides the squarefree t exactly when q is in c.ram: f is the
+    product of those q. The part s is a signed product over the basis of
+    L's cached _system: -1 and the primes of 2 * field_disc. The part m is
+    a product of split primes outside that basis, and a split prime moves
+    the class only on the primes dividing field_disc. So the class c.ram
+    minus the class of f, the target, is solved against the system's
+    echelon form once for each class w of its table of smallest split
+    products m, class(s) = target + w, and the smallest s * m in the kernel
+    cosets wins. The system keeps that for the next class with the same
+    target, so each target is searched once per field.
+    """
+    if not splits_in(c, L):
+        raise ValueError("L is not a splitting field")
+    system = _system(L)
+    bit = system.bit
+    target, f = 0, 1
+    for v in c.ram:
+        if v in bit:
+            target ^= bit[v]
+        else:  # odd and inert: v itself is the one place without a bit
+            f *= v
+            target ^= _mask(_column(v, L) - {v}, bit)
+    if target not in system.smallest:
+        system.smallest[target] = _smallest(system, target)
+    best = system.smallest[target]
     if best is None:
         raise RuntimeError(
             f"no representative found for {c.render()} over Q(sqrt(-{L.delta0}))"
         )
-    return best
+    return f * best
 
 
 def pair_presentation(c: BrauerClassQ) -> tuple | None:

@@ -23,13 +23,14 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .arith import FactoringLimit, factor, is_prime
 from .brauer import BrauerClassQ, from_pair, pair_presentation
 from .quadfield import ImagQuadField, is_norm
-from .symbols import INF, _place, hilbert, place_sort_key, relevant_places, render_places
+from .symbols import INF, _brief, _place, hilbert, place_sort_key, relevant_places, render_places
 
 if TYPE_CHECKING:
     from .deduce import CharacterFactSheet, DeductionReport
@@ -77,7 +78,11 @@ def corpus_dir() -> Path:
 # for a required key, which every reader refuses, while _OMIT leaves it
 # unread. A row keyed by a function is a rule over several keys, checked at
 # that point; one that returns true ends the read. Readers and rules also
-# take got, the values read so far and those passed in by the caller.
+# take got, one dict per file: what the caller put there first, and each
+# value read so far under its key, at any depth, a later value replacing an
+# earlier one. _load_sheet takes the top-level relations from it before the
+# sheet's own replace them; each other key looked up (id, delta0,
+# out_of_scope, character) names one value in a file.
 
 _OMIT = object()
 # the document itself; its keys are named without a prefix
@@ -88,36 +93,48 @@ def _fail(path, msg):
     raise FactFileError("%s: %s" % (path, msg))
 
 
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _raw(v, path, got=None):
     return v
 
 
-def _check(test, msg, read=None):
-    """A reader that refuses a value failing test, read first with read."""
-    def check(v, path, got=None):
-        if read:
-            v = read(v, path)
-        if not test(v):
+def _typed(kind, msg):
+    """A reader that refuses a value whose type is not exactly kind: json.loads
+    makes exact ints, bools, strs and lists, and a bool is no int."""
+    def read(v, path, got=None):
+        if type(v) is not kind:
             _fail(path, msg)
         return v
-    return check
+    return read
 
 
-_as_int = _check(_is_int, "expected an integer")
-_as_pos_int = _check(lambda v: _is_int(v) and v > 0, "expected a positive integer")
-_as_bool = _check(lambda v: isinstance(v, bool), "expected true or false")
-_as_str = _check(lambda v: isinstance(v, str), "expected a string")
-_as_list = _check(lambda v: isinstance(v, list), "expected a list")
+_as_int = _typed(int, "expected an integer")
+_as_bool = _typed(bool, "expected true or false")
+_as_str = _typed(str, "expected a string")
+_as_list = _typed(list, "expected a list")
+
+
+def _as_pos_int(v, path, got=None):
+    if type(v) is not int or v <= 0:
+        _fail(path, "expected a positive integer")
+    return v
+
+
+def _as_prime(v, path, got=None):
+    if not is_prime(_as_int(v, path)):
+        _fail(path, "not a prime")
+    return v
+
+
+def _as_even_dim(v, path, got=None):
+    if _as_pos_int(v, path) % 2:
+        _fail(path, "expected a positive even integer")
+    return v
 
 
 def _as_fraction(v, path, got=None):
-    if _is_int(v):
+    if type(v) is int:
         v = [v, 1]
-    if not (isinstance(v, list) and len(v) == 2 and all(_is_int(x) for x in v)):
+    if not (type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int):
         _fail(path, "expected an integer or a [numerator, denominator] pair")
     if v[1] == 0:
         _fail(path, "zero denominator")
@@ -130,7 +147,16 @@ def _as_fraction(v, path, got=None):
     return q
 
 
-_as_nonzero = _check(bool, "must be nonzero", _as_fraction)
+def _as_nonzero(v, path, got=None):
+    if not (q := _as_fraction(v, path)):
+        _fail(path, "must be nonzero")
+    return q
+
+
+def _as_det(v, path, got=None):
+    if not (q := _as_fraction(v, path)):
+        _fail(path, "determinant must be nonzero")
+    return q
 
 
 def _as_places(v, path, got=None):
@@ -140,7 +166,7 @@ def _as_places(v, path, got=None):
     for i, x in enumerate(v):
         if x == "inf":
             out.add(INF)
-        elif _is_int(x) and is_prime(x):
+        elif type(x) is int and is_prime(x):
             out.add(int(x))
         else:
             _fail("%s[%d]" % (path, i), 'expected "inf" or a prime')
@@ -155,14 +181,24 @@ def _as_field(v, path, got=None):
     return _wrap(path, ImagQuadField, _as_pos_int(v, path))
 
 
-def _as_status(v, path, got=None):
-    from .deduce import FactStatus
+@lru_cache(maxsize=None)
+def _deduce(name):
+    # a class of udisc.deduce, which only the readers of a character block
+    # need: imported on their first use, then looked up in this cache
+    from . import deduce
 
-    s = _as_str(v, path)
-    try:
-        return FactStatus(s)
-    except ValueError:
-        _fail(path, "expected one of %s" % ", ".join(m.value for m in FactStatus))
+    return getattr(deduce, name)
+
+
+def _as_status(v, path, got=None):
+    if (status := _fact_statuses().get(_as_str(v, path))) is None:
+        _fail(path, "expected one of %s" % ", ".join(_fact_statuses()))
+    return status
+
+
+@lru_cache(maxsize=None)
+def _fact_statuses():
+    return {m.value: m for m in _deduce("FactStatus")}
 
 
 class _DuplicateKeys(dict):
@@ -181,6 +217,10 @@ def _json_object(pairs):
     obj = _DuplicateKeys(obj)
     obj.duplicate = next(k for k, _ in pairs if k in seen or seen.add(k))
     return obj
+
+
+# one decoder for every file; json.loads with a hook builds one per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_json_object)
 
 
 def _as_obj(v, path, allowed=None):
@@ -228,8 +268,9 @@ def _prime_map(read, nonempty=None):
     return read_map
 
 
-def _read(v, path, table, **got):
-    """Read the JSON object v through table; return the values it gives."""
+def _read(v, path, table, got):
+    """Read the JSON object v through table; return the values it gives,
+    which are also put in got."""
     _as_obj(v, path, table)
     at = "" if path == _DOC else path + "."
     out = {}
@@ -244,20 +285,17 @@ def _read(v, path, table, **got):
 
 def _list_of(read):
     """A reader of a JSON list that reads entry i with read, at <path>[i]."""
-    def read_list(v, path, got=None):
+    def read_list(v, path, got):
         return [read(x, "%s[%d]" % (path, i), got) for i, x in enumerate(_as_list(v, path))]
     return read_list
 
 
 def _record(name, table, **fields):
     """A reader of an object through table into the deduce record name, with
-    fields naming the field of each key whose name differs. Its readers
-    also see the values of the enclosing object."""
+    fields naming the field of each key whose name differs."""
     def read(v, path, got):
-        from . import deduce
-
-        f = _read(v, path, table, **got)
-        return _wrap(path, getattr(deduce, name),
+        f = _read(v, path, table, got)
+        return _wrap(path, _deduce(name),
                      **{fields.get(k, k): x for k, x in f.items() if k != "kind"})
     return read
 
@@ -265,24 +303,32 @@ def _record(name, table, **fields):
 def _kind(what, **kinds):
     """A reader of an object whose "kind" key picks its reader from kinds,
     or its table, to read it as a dict."""
-    def read(v, path, got=None):
+    def read(v, path, got):
         if not isinstance(v, dict) or "kind" not in v:
             _fail(path, 'expected an object with a "kind" key')
         kind = _as_str(v["kind"], path + ".kind")
         if kind not in kinds:
             _fail(path + ".kind", "unknown %s kind %r" % (what, kind))
         r = kinds[kind]
-        return _read(v, path, r) if isinstance(r, dict) else r(v, path, got)
+        return _read(v, path, r, got) if isinstance(r, dict) else r(v, path, got)
     return read
 
 
-def _as_parts(v, path, got=None):
+def _as_parts(v, path, got):
     # determinant of the fixed space under the extending element,
     # folded part by part with the sign (-1)^(dim/2)
     disc = Fraction(1)
-    for part in _list_of(lambda x, xpath, got: _read(x, xpath, _PART))(v, path):
+    for i, x in enumerate(_as_list(v, path)):
+        part = _read(x, "%s[%d]" % (path, i), _PART, got)
         disc *= part["det"] if (part["dim"] // 2) % 2 == 0 else -part["det"]
     return disc
+
+
+def _as_discs(v, path, got=None):
+    discs = [_as_int(x, "%s[%d]" % (path, i)) for i, x in enumerate(_as_list(v, path))]
+    if not discs:
+        _fail(path, "expected at least one candidate")
+    return discs
 
 
 def _as_relations(v, path, got):
@@ -293,10 +339,11 @@ def _as_relations(v, path, got):
 
 
 def _load_sheet(v, path, got):
-    from .deduce import CharacterFactSheet
-
-    f = _read(v, path, _SHEET, top_relations=got["relations"])
-    return _wrap(path, CharacterFactSheet, id=got["id"], field=f.pop("delta0"), **f)
+    # the sheet's own relations take the name; _as_relations adds these
+    got["top_relations"] = got["relations"]
+    f = _read(v, path, _SHEET, got)
+    return _wrap(path, _deduce("CharacterFactSheet"), id=got["id"],
+                 field=f.pop("delta0"), **f)
 
 
 # A larger Gram matrix is refused before any entry is built; the README's
@@ -304,10 +351,10 @@ def _load_sheet(v, path, got):
 MAX_GRAM_DIM = 32
 
 
-def _load_gram(v, path, got=None):
+def _load_gram(v, path, got):
     from .hermforms import HermitianGram
 
-    L, rows = _read(v, path, _GRAM).values()
+    L, rows = _read(v, path, _GRAM, got).values()
     n = len(rows)
     if n > MAX_GRAM_DIM:
         _fail(path + ".entries", "%d rows, more than the limit of %d" % (n, MAX_GRAM_DIM))
@@ -315,7 +362,7 @@ def _load_gram(v, path, got=None):
         if not isinstance(row, list) or len(row) != n:
             _fail("%s.entries[%d]" % (path, i), "expected a row of %d entries" % n)
         for j, cell in enumerate(row):
-            # json.loads makes exact lists, ints and bools: this is _is_int, inlined
+            # a type test, as in the readers above
             a, b, c, d = cell if type(cell) is list and len(cell) == 4 else (None,) * 4
             if not (type(a) is int and type(b) is int and type(c) is int and type(d) is int):
                 _fail("%s.entries[%d][%d]" % (path, i, j),
@@ -327,7 +374,7 @@ def _load_gram(v, path, got=None):
 
 # the tables
 _MOD_FACT = {
-    "p": (_check(is_prime, "not a prime", _as_int), None),
+    "p": (_as_prime, None),
     "status": (_as_status, None),
     "defect_one": (_as_bool, False),
     "external": (_as_bool, False),
@@ -340,8 +387,8 @@ _STRUCTURAL = {
     "faithful": (_as_bool, False),
 }
 _PART = {
-    "dim": (_check(lambda d: not d % 2, "expected a positive even integer", _as_pos_int), None),
-    "det": (_check(bool, "determinant must be nonzero", _as_fraction), None),
+    "dim": (_as_even_dim, None),
+    "det": (_as_det, None),
 }
 _ALPHA = {
     "q_class": (_as_class, []),
@@ -403,7 +450,7 @@ _CLASS_EXPECTED = {
 }
 _CANDIDATES_EXPECTED = {
     "kind": (_as_str, None),
-    "discs": (_check(bool, "expected at least one candidate", _list_of(_as_int)), None),
+    "discs": (_as_discs, None),
 }
 _FILE = {
     "id": (_as_str, _OMIT),
@@ -432,7 +479,9 @@ def load_fact_file(path) -> FactFile:
     except (OSError, UnicodeDecodeError) as e:
         raise FactFileError(str(e))
     try:
-        doc = json.loads(raw, object_pairs_hook=_json_object)
+        if raw.startswith("\ufeff"):  # refused as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", raw, 0)
+        doc = _DECODER.decode(raw)
     except json.JSONDecodeError as e:
         raise FactFileError("line %d, column %d: %s" % (e.lineno, e.colno, e.msg))
     except ValueError:
@@ -441,8 +490,9 @@ def load_fact_file(path) -> FactFile:
         _fail(_DOC, "an integer has more than %d digits" % sys.get_int_max_str_digits())
     except RecursionError:
         _fail(_DOC, "nested too deeply")
-    f = _read(doc, _DOC, _FILE, id=path.stem)
-    return FactFile(id=f.get("id", path.stem), sheet=f.get("character"),
+    got = {"id": path.stem}
+    f = _read(doc, _DOC, _FILE, got)
+    return FactFile(id=got["id"], sheet=f.get("character"),
                     gram=f.get("gram"), expected=f.get("expected"),
                     out_of_scope=f["out_of_scope"], note=f["note"])
 
@@ -609,13 +659,13 @@ def _parse_rational(s: str) -> Fraction:
         big = exp and limit and abs(int(exp[1])) > limit
         a = None if big else Fraction(s)
     except (ValueError, ZeroDivisionError):
-        raise ValueError("malformed rational %r" % s)
+        raise ValueError("malformed rational %s" % _brief(s))
     try:
         # str() refuses integers over the interpreter's digit limit, which
         # the fact-file loader also rejects; 10**limit is one digit over
         str(10 ** limit if big else a)
     except ValueError:
-        raise ValueError("rational %r: more than %d digits" % (s, limit)) from None
+        raise ValueError("rational %s: more than %d digits" % (_brief(s), limit)) from None
     if a == 0:
         raise ValueError("argument must be nonzero")
     return a

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import factor, is_prime
 from .symbols import (
     Place,
     Rational,
     _as_fraction,
+    _brief,
     _symbol_set,
     _val_unit,
     hilbert,
@@ -32,17 +34,19 @@ class PrimeBehavior(Enum):
 class ImagQuadField:
     """L = Q(sqrt(-delta0)) for squarefree delta0 > 0.
 
-    Equal and hashed by delta0, so fields serve as cache keys.
+    Equal and hashed by delta0, so fields serve as cache keys; the hash is
+    kept, since the caches look a field up many times per answer.
     """
 
-    __slots__ = ("delta0",)
+    __slots__ = ("delta0", "_hash")
 
     def __init__(self, delta0: int):
         if not isinstance(delta0, int) or isinstance(delta0, bool) or delta0 <= 0:
-            raise ValueError(f"delta0 must be a positive integer, got {delta0!r}")
+            raise ValueError(f"delta0 must be a positive integer, got {_brief(delta0)}")
         if any(e > 1 for _, e in factor(delta0)):
             raise ValueError(f"delta0 must be squarefree, got {delta0}")
         self.delta0 = delta0
+        self._hash = hash((delta0,))
 
     def __eq__(self, other):
         if other.__class__ is not ImagQuadField:
@@ -50,7 +54,7 @@ class ImagQuadField:
         return self.delta0 == other.delta0
 
     def __hash__(self):
-        return hash((self.delta0,))
+        return self._hash
 
     @property
     def field_disc(self) -> int:
@@ -89,8 +93,9 @@ class QuadElem:
         return f"({self.x} + {self.y}*sqrt(-{self.field.delta0}))"
 
 
+@lru_cache(maxsize=4096)
 def prime_behavior(L: ImagQuadField, p: int) -> PrimeBehavior:
-    """How the rational prime p decomposes in L."""
+    """How the rational prime p decomposes in L; cached per (L, p)."""
     if not is_prime(p):
         raise ValueError(f"not a prime: {p}")
     d = L.field_disc

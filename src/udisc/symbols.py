@@ -126,6 +126,14 @@ def _place(v) -> Place:
     return v
 
 
+def _brief(s) -> str:
+    """repr(s) for a message; a string over 40 characters is shown as its
+    first 40 and its length, so no refusal echoes a huge argument whole."""
+    if isinstance(s, str) and len(s) > 40:
+        return "%r... (%d characters)" % (s[:40], len(s))
+    return repr(s)
+
+
 def _square_classes(a: Rational, b: Rational) -> tuple[int, int]:
     # each rational enters hasse_symbol as numerator times denominator
     a, b = _as_fraction(a), _as_fraction(b)
@@ -146,20 +154,30 @@ def relevant_places(*qs: Rational) -> list[Place]:
     """INF plus 2 and the primes dividing a numerator or denominator of qs.
 
     Away from these, (a,b)_v is +1 for any a, b among the qs.  Each
-    numerator and denominator is factored on its own, never the product.
+    numerator and denominator is factored on its own, never the product;
+    an integer is read as itself, and one that is_prime (cached) knows as
+    a prime is not factored at all.
     """
     primes = {2}
     for q in qs:
-        q = _as_fraction(q)
-        primes.update(prime_factors(q.numerator), prime_factors(q.denominator))
+        if isinstance(q, int):
+            n = abs(q)
+            if is_prime(n):
+                primes.add(n)
+            else:
+                primes.update(prime_factors(n))
+        else:
+            q = _as_fraction(q)
+            primes.update(prime_factors(q.numerator), prime_factors(q.denominator))
     return [INF] + sorted(primes)
 
 
 def _symbol_set(a: Rational, b: Rational, places: list | None = None) -> frozenset:
     """The places v where (a,b)_v = -1, among places when given (they must
-    hold every such place) or else relevant_places(a, b)."""
-    places = places or relevant_places(a, b)
+    hold every such place) or else relevant_places(a, b). A zero argument
+    is refused the same way in both cases."""
     zs = _square_classes(a, b)
+    places = places or relevant_places(a, b)
     return frozenset(v for v in places if hasse_symbol(zs, _place(v)) == -1)
 
 

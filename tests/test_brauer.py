@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udisc.arith import prime_factors, primes_up_to
+from udisc.arith import is_prime, prime_factors, primes_up_to
 from udisc.brauer import BrauerClassQ, from_pair, l_disc, pair_presentation, splits_in
+from udisc.deduce import CharacterFactSheet, FactStatus, ModFact, resolve
 from udisc.quadfield import ImagQuadField, PrimeBehavior, norm_class, prime_behavior
 from udisc.symbols import INF, hilbert, relevant_places
 
@@ -73,6 +74,79 @@ def s_span_l_disc(c, L):
                 if cached_norm_class(cand, L) == c.ram:
                     if best is None or (abs(cand), cand < 0) < (abs(best), best < 0):
                         best = cand
+    return best
+
+
+@lru_cache(maxsize=None)
+def split_products_by_class(L):
+    """The smallest product of distinct odd split primes in each norm class,
+    keyed by the class as a set of places, as l_disc's table was kept
+    before it became a bitmask table of the per-field system."""
+    want = 1 << (len(prime_factors(L.field_disc)) - 1)
+    best = {frozenset(): 1}
+    lo, hi = 2, 64
+    while True:
+        for p in primes_up_to(hi):
+            if p <= lo or prime_behavior(L, p) != SPLIT:
+                continue
+            if len(best) == want and p > max(best.values()):
+                return best
+            col = cached_norm_class(p, L)
+            for w, m in list(best.items()):
+                if w ^ col not in best or m * p < best[w ^ col]:
+                    best[w ^ col] = m * p
+        lo, hi = hi, 2 * hi
+
+
+def per_class_l_disc(c, L):
+    """l_disc as this package ran it before the per-field system: each call
+    builds its own basis, -1 and the primes of 2 * field_disc together with
+    the finite ramified places of c, reduces its columns over F2, and
+    walks the kernel coset for every class of the split-product table."""
+    if not splits_in(c, L):
+        raise ValueError("L is not a splitting field")
+    primes = set(prime_factors(2 * L.field_disc))
+    primes.update(v for v in c.ram if v != INF)
+    basis = [-1] + sorted(primes)
+    bits = {}
+
+    def mask(places):
+        m = 0
+        for v in places:
+            m |= 1 << bits.setdefault(v, len(bits))
+        return m
+
+    pivots, kernel = [], []
+    for j, col in enumerate(mask(cached_norm_class(b, L)) for b in basis):
+        comb = 1 << j
+        for bit, vec, cb in pivots:
+            if col & bit:
+                col ^= vec
+                comb ^= cb
+        if col:
+            pivots.append((col & -col, col, comb))
+        else:
+            kernel.append(comb)
+    best = None
+    for w, m in split_products_by_class(L).items():
+        target, x = mask(c.ram ^ w), 0
+        for bit, vec, cb in pivots:
+            if target & bit:
+                target ^= vec
+                x ^= cb
+        if target:
+            continue
+        for k in range(1 << len(kernel)):
+            y = x
+            for i, comb in enumerate(kernel):
+                if k >> i & 1:
+                    y ^= comb
+            t = m
+            for j, b in enumerate(basis):
+                if y >> j & 1:
+                    t *= b
+            if best is None or (abs(t), t < 0) < (abs(best), best < 0):
+                best = t
     return best
 
 
@@ -163,15 +237,16 @@ class TestIntegerPath:
         assert norm_class(a, ImagQuadField(d)) == want
 
     @pytest.mark.parametrize("args,msg", [
-        ((0, 3), "factorization of 0 is undefined"),
-        ((3, Fraction(0)), "factorization of 0 is undefined"),
+        ((0, 3), "hilbert symbol needs nonzero arguments"),
+        ((3, Fraction(0)), "hilbert symbol needs nonzero arguments"),
         ((0, 3, [INF, 2, 3]), "hilbert symbol needs nonzero arguments"),
         ((3, Fraction(0, 7), [INF]), "hilbert symbol needs nonzero arguments"),
         ((3, 5, [INF, 4]), "not a place of Q: 4"),
         ((3, 5, [1]), "not a place of Q: 1"),
     ])
     def test_from_pair_keeps_its_errors(self, args, msg):
-        # hasse_symbol never ends on a zero coefficient or the place 1
+        # hasse_symbol never ends on a zero coefficient or the place 1, and
+        # a zero is named the same way whether or not places are passed
         with pytest.raises(ValueError) as e:
             from_pair(*args)
         assert str(e.value) == msg
@@ -310,6 +385,42 @@ class TestLDiscReference:
             for ram in combinations(places, r):
                 c = BrauerClassQ(frozenset(ram))
                 assert l_disc(c, L) == s_span_l_disc(c, L), c.render()
+
+    @pytest.mark.parametrize("d0", [1, 2, 3, 7, 10, 11, 15, 19, 43])
+    def test_matches_per_class_solve(self, d0):
+        # the classes of test_matches_s_span_enumerator; 2 is inert for
+        # d0 = 11 and 19, ramified for 1, 2 and 10, and split for 7 and 15
+        L = ImagQuadField(d0)
+        places = [INF] + [p for p in primes_up_to(59) if prime_behavior(L, p) != SPLIT]
+        for r in (0, 2, 4, 6):
+            for ram in combinations(places, r):
+                c = BrauerClassQ(frozenset(ram))
+                assert l_disc(c, L) == per_class_l_disc(c, L), c.render()
+
+    @pytest.mark.parametrize("d0", [1, 2, 3, 7, 10, 11, 15, 19, 43])
+    def test_matches_per_class_solve_at_a_large_inert_prime(self, d0):
+        # the deltas of Gram matrices ramify at inert primes of any size;
+        # only q itself carries the bit q, so q divides the representative
+        L = ImagQuadField(d0)
+        q = next(p for p in range(10 ** 12 + 1, 10 ** 12 + 10 ** 4, 2)
+                 if is_prime(p) and prime_behavior(L, p) is PrimeBehavior.INERT)
+        small = [INF] + [p for p in primes_up_to(23) if prime_behavior(L, p) != SPLIT]
+        for r in (1, 3):
+            for ram in combinations(small, r):
+                c = BrauerClassQ(frozenset(ram + (q,)))
+                t = l_disc(c, L)
+                assert t == per_class_l_disc(c, L), c.render()
+                assert t % q == 0 and norm_class(t, L) == c.ram
+
+    def test_matches_per_class_solve_on_every_candidate(self):
+        # the u = 9 sheet of the benchmark's sheets ladder: inf ramifies, 13
+        # splits, 107 is stable, and 2 and eight inert primes are free
+        factors = {p: 1 for p in (2, 7, 11, 13, 19, 31, 43, 67, 79, 103, 107)}
+        stable = ModFact(107, FactStatus.UNITARY_STABLE)
+        report = resolve(CharacterFactSheet("u9", 2, Q1, factors, mod_facts=[stable]))
+        assert len(report.result.items) == 256
+        for c, t in report.result.items:
+            assert t == per_class_l_disc(c, Q1), c.render()
 
     @pytest.mark.parametrize("d0", [1, 5, 14, 17, 21, 35, 105, 210])
     def test_matches_integer_scan(self, d0):

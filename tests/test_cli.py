@@ -203,6 +203,17 @@ class TestSymbolCommand:
         assert err == "error: rational %r: more than %d digits\n" % (a, sys.get_int_max_str_digits())
 
 
+    # an argument over 40 characters is named by its first 40 and its length
+    @pytest.mark.parametrize("a,want", [
+        ("1" * 5000, "malformed rational {}"),
+        ("x" * 41, "malformed rational {}"),
+        ("1" * 41 + "e5000", "rational {}: more than {} digits"),
+    ], ids=["5000-digits", "41-letters", "long-exponent"])
+    def test_long_argument_is_shown_cut(self, capsys, a, want):
+        shown = "%r... (%d characters)" % (a[:40], len(a))
+        want = want.format(shown, sys.get_int_max_str_digits())
+        assert run(capsys, "symbol", a, "3") == (1, "", "error: %s\n" % want)
+
     # Fraction would compute 10**exponent before any digit check
     @pytest.mark.parametrize("command", ["symbol", "isnorm"])
     @pytest.mark.parametrize("a", ["1e1000000000", "-1e-1000000000", "1E+4301"])
@@ -249,11 +260,13 @@ class TestIsnormCommand:
         assert err != ""
 
     # a delta0 that int() does not read, over the digit limit too, is refused
-    # in ImagQuadField's words rather than the interpreter's
+    # in ImagQuadField's words rather than the interpreter's, and one over 40
+    # characters is shown as its first 40 and its length
     @pytest.mark.parametrize("delta0", ["x", "3.0", "1" * 5000])
     def test_delta0_not_an_integer(self, capsys, delta0):
+        shown = repr(delta0) if len(delta0) <= 40 else "'%s'... (5000 characters)" % ("1" * 40)
         assert run(capsys, "isnorm", "5", delta0) == (
-            1, "", "error: delta0 must be a positive integer, got %r\n" % delta0)
+            1, "", "error: delta0 must be a positive integer, got %s\n" % shown)
 
     def test_zero_rejected(self, capsys):
         rc, _, err = run(capsys, "isnorm", "0", "3")
@@ -635,6 +648,14 @@ class TestDeduceCommand:
         rc, _, err = run(capsys, "deduce", str(p))
         assert rc == 1
         assert "line 1" in err
+
+    def test_byte_order_mark_is_refused_as_json_refuses_it(self, capsys, tmp_path):
+        p = tmp_path / "bom.json"
+        p.write_bytes(b"\xef\xbb\xbf" + json.dumps(SHEET_CHI33).encode())
+        with pytest.raises(json.JSONDecodeError) as e:
+            json.loads(p.read_text(encoding="utf-8"))
+        assert run(capsys, "deduce", str(p)) == (
+            1, "", "error: line 1, column 1: %s\n" % e.value.msg)
 
     def test_schema_error_names_the_path(self, capsys, tmp_path):
         payload = json.loads(json.dumps(SHEET_CHI33))
