@@ -12,8 +12,7 @@ minimal in absolute value and positive on ties.
 
 from functools import lru_cache
 from itertools import combinations
-from math import prod
-from typing import NamedTuple
+from math import inf, prod
 
 from .arith import prime_factors, primes_up_to
 from .quadfield import ImagQuadField, PrimeBehavior, norm_class, prime_behavior
@@ -83,112 +82,47 @@ def _mask(places, bit: dict) -> int:
     return m
 
 
-def _split_products(L: ImagQuadField, bit: dict) -> dict:
-    """Smallest product of distinct odd split primes in each norm class,
-    keyed by the class as a bitmask over bit.
+@lru_cache(maxsize=256)
+def _representatives(L: ImagQuadField) -> tuple[dict, dict]:
+    """The smallest signed squarefree t in each norm class of L whose
+    places all have a bit, keyed by the class as a bitmask over bit.
 
-    A split prime's class lies on the primes dividing field_disc and has
-    even size there; by genus theory every such set is the class of some
-    split prime, so the 2^(r-1) classes (r primes dividing field_disc) are
-    all reached. Primes are taken in ascending order, so the search stops
-    at the first split prime above every entry's product.
+    bit: one bit for inf and for each prime of 2 * field_disc except a
+    split 2, which no symbol (t, field_disc)_2 reaches (field_disc is a
+    square in Q_2 then). Such a t is s * m: s a signed product of the basis
+    -1 and the primes of 2 * field_disc (2 even when inert), m a product of
+    distinct odd split primes. The table starts from the smallest s of each
+    class and takes the split primes in ascending order, each times every
+    entry so far. Each class of even size over bit is the norm class of
+    some such t (L splits it, so it is (field_disc, t)_Q, and t has no
+    other inert prime), so the table fills; once it is full, a split prime
+    above its largest entry improves none, and the search stops.
     """
-    want = 1 << (len(prime_factors(L.field_disc)) - 1)
-    best = {0: 1}
+    basis = [-1] + prime_factors(2 * L.field_disc)
+    places = [INF] + [p for p in basis[1:] if prime_behavior(L, p) is not PrimeBehavior.SPLIT]
+    bit = {v: 1 << i for i, v in enumerate(places)}
+    # each t as (|t|, t < 0), the order in which the smallest wins
+    products = [((1, False), 0)]
+    for b in basis:
+        col = _mask(_column(b, L), bit)
+        products += [((a * abs(b), neg ^ (b < 0)), w ^ col) for (a, neg), w in products]
+    # written largest first, so the smallest of each class stays
+    table = {w: t for t, w in sorted(products, reverse=True)}
     lo, hi = 2, 64
     while True:
         for p in primes_up_to(hi):
-            if p <= lo or prime_behavior(L, p) != PrimeBehavior.SPLIT:
+            if p <= lo or prime_behavior(L, p) is not PrimeBehavior.SPLIT:
                 continue
-            if len(best) == want and p > max(best.values()):
-                return best
+            # once the table is full, p times an entry helps only up to its
+            # largest entry
+            cap = max(table.values())[0] if len(table) == 1 << (len(places) - 1) else inf
+            if p > cap:
+                return bit, {w: -a if neg else a for w, (a, neg) in table.items()}
             col = _mask(_column(p, L), bit)
-            for w, m in list(best.items()):
-                if w ^ col not in best or m * p < best[w ^ col]:
-                    best[w ^ col] = m * p
+            for w, (a, neg) in [(w, t) for w, t in table.items() if t[0] * p <= cap]:
+                t = (a * p, neg)
+                table[w ^ col] = min(table.get(w ^ col, t), t)
         lo, hi = hi, 2 * hi
-
-
-def _echelon(columns: list) -> tuple[list, list]:
-    """Reduce bitmask columns over F2.
-
-    Returns the pivots as (pivot bit, reduced column, combination) and the
-    kernel as combinations, where a combination is a bitmask over the
-    column indices.
-    """
-    pivots, kernel = [], []
-    for j, col in enumerate(columns):
-        comb = 1 << j
-        for bit, vec, c in pivots:
-            if col & bit:
-                col ^= vec
-                comb ^= c
-        if col:
-            pivots.append((col & -col, col, comb))
-        else:
-            kernel.append(comb)
-    return pivots, kernel
-
-
-def _solve(pivots: list, target: int) -> int | None:
-    # one combination of the columns summing to target, or None
-    x = 0
-    for bit, vec, c in pivots:
-        if target & bit:
-            target ^= vec
-            x ^= c
-    return None if target else x
-
-
-class _NormSystem(NamedTuple):
-    """The norm classes of L as linear algebra over F2.
-
-    basis: -1 and the primes of 2 * field_disc (2 even when inert), whose
-    products s are the signed part of a representative. bit: one bit for
-    each of inf, 2 and the primes of field_disc, the places where such an s
-    or a split prime can have a nonzero symbol. pivots and kernel: the
-    echelon form of the basis columns. splits: the table of
-    _split_products. smallest: the smallest s * m of each class solved so
-    far, None where there is none, keyed like splits.
-    """
-
-    basis: list
-    bit: dict
-    pivots: list
-    kernel: list
-    splits: dict
-    smallest: dict
-
-
-@lru_cache(maxsize=256)
-def _system(L: ImagQuadField) -> _NormSystem:
-    basis = [-1] + prime_factors(2 * L.field_disc)
-    bit = {v: 1 << i for i, v in enumerate(dict.fromkeys([INF, 2] + basis[1:]))}
-    pivots, kernel = _echelon([_mask(_column(b, L), bit) for b in basis])
-    return _NormSystem(basis, bit, pivots, kernel, _split_products(L, bit), {})
-
-
-def _smallest(system: _NormSystem, target: int) -> int | None:
-    # the smallest s * m whose class is target: for each class w of the
-    # split products, solve class(s) = target + w and walk the kernel coset
-    basis, _, pivots, kernel, splits, _ = system
-    best = None
-    for w, m in splits.items():
-        x = _solve(pivots, target ^ w)
-        if x is None:
-            continue
-        for k in range(1 << len(kernel)):
-            y = x
-            for i, comb in enumerate(kernel):
-                if k >> i & 1:
-                    y ^= comb
-            t = m
-            for j, b in enumerate(basis):
-                if y >> j & 1:
-                    t *= b
-            if best is None or (abs(t), t < 0) < (abs(best), best < 0):
-                best = t
-    return best
 
 
 def l_disc(c: BrauerClassQ, L: ImagQuadField) -> int:
@@ -197,39 +131,27 @@ def l_disc(c: BrauerClassQ, L: ImagQuadField) -> int:
     Minimal |t| wins; positive wins a sign tie. Raises when L does not
     split c (no such t exists then).
 
-    The norm class is a homomorphism on square classes, so t is linear
-    algebra over F2. Write t = f * s * m. At an odd inert q,
-    (t, field_disc)_q = (-1)^v_q(t), and no other factor below has the bit
-    q, so q divides the squarefree t exactly when q is in c.ram: f is the
-    product of those q. The part s is a signed product over the basis of
-    L's cached _system: -1 and the primes of 2 * field_disc. The part m is
-    a product of split primes outside that basis, and a split prime moves
-    the class only on the primes dividing field_disc. So the class c.ram
-    minus the class of f, the target, is solved against the system's
-    echelon form once for each class w of its table of smallest split
-    products m, class(s) = target + w, and the smallest s * m in the kernel
-    cosets wins. The system keeps that for the next class with the same
-    target, so each target is searched once per field.
+    The norm class is a homomorphism on square classes. Write t = f * s * m.
+    At an odd inert q, (t, field_disc)_q = (-1)^v_q(t), and no other factor
+    has the bit q, so q divides the squarefree t exactly when q is in
+    c.ram: f is the product of those q. The rest, s * m, is the entry of
+    L's cached _representatives table at the class c.ram minus the class
+    of f, which has even size, so the table holds it. A place of c.ram
+    outside the table's bits that is not in its own norm class splits in
+    L, so L does not split c.
     """
-    if not splits_in(c, L):
-        raise ValueError("L is not a splitting field")
-    system = _system(L)
-    bit = system.bit
+    bit, table = _representatives(L)
     target, f = 0, 1
     for v in c.ram:
         if v in bit:
             target ^= bit[v]
-        else:  # odd and inert: v itself is the one place without a bit
-            f *= v
-            target ^= _mask(_column(v, L) - {v}, bit)
-    if target not in system.smallest:
-        system.smallest[target] = _smallest(system, target)
-    best = system.smallest[target]
-    if best is None:
-        raise RuntimeError(
-            f"no representative found for {c.render()} over Q(sqrt(-{L.delta0}))"
-        )
-    return f * best
+            continue
+        col = _column(v, L)
+        if v not in col:  # a split prime, 2 included
+            raise ValueError("L is not a splitting field")
+        f *= v  # odd and inert: v itself is the one place without a bit
+        target ^= _mask(col - {v}, bit)
+    return f * table[target]
 
 
 def pair_presentation(c: BrauerClassQ) -> tuple | None:

@@ -223,14 +223,20 @@ def _json_object(pairs):
 _DECODER = json.JSONDecoder(object_pairs_hook=_json_object)
 
 
+def _key_path(path, k):
+    # the path to the value of key k; a key over 40 characters is named
+    # through _brief, so no refusal echoes a huge key whole
+    return "%s.%s" % (path, k if len(k) <= 40 else _brief(k))
+
+
 def _as_obj(v, path, allowed=None):
     if not isinstance(v, dict):
         _fail(path, "expected an object")
     if isinstance(v, _DuplicateKeys):
-        _fail("%s.%s" % (path, v.duplicate), "duplicate key")
+        _fail(_key_path(path, v.duplicate), "duplicate key")
     for k in v:
         if allowed is not None and k not in allowed:
-            _fail("%s.%s" % (path, k), "unknown key")
+            _fail(_key_path(path, k), "unknown key")
     return v
 
 
@@ -246,7 +252,12 @@ def _wrap(path, fn, *args, **kwargs):
 
 def _prime_key(k, path):
     # str.isdigit also accepts "²" and non-ASCII digits such as "٣"
-    if not (k.isascii() and k.isdigit() and is_prime(p := _wrap(path, int, k))):
+    digits = k.isascii() and k.isdigit()
+    # int() would refuse a key over the interpreter's digit limit in its
+    # own words, which differ between Python versions
+    if digits and (limit := sys.get_int_max_str_digits()) and len(k) > limit:
+        _fail(path, "a key has more than %d digits" % limit)
+    if not (digits and is_prime(p := int(k))):
         _fail(path, "expected a prime key")
     # canonical decimal only, or "03" and "3" would name the same prime
     if k != str(p):
@@ -262,7 +273,7 @@ def _prime_map(read, nonempty=None):
             _fail(path, nonempty)
         out = {}
         for k, x in _as_obj(v, path).items():
-            kp = "%s.%s" % (path, k)
+            kp = _key_path(path, k)
             out[_prime_key(k, kp)] = read(x, kp)
         return out
     return read_map
@@ -475,7 +486,7 @@ _FILE = {
 def load_fact_file(path) -> FactFile:
     path = Path(path)
     try:
-        raw = path.read_text()
+        raw = path.read_text(encoding="utf-8")  # JSON text is UTF-8
     except (OSError, UnicodeDecodeError) as e:
         raise FactFileError(str(e))
     try:
@@ -759,9 +770,8 @@ def cmd_corpus(as_json, dir=None) -> int:
             continue
         try:
             ok, detail = _check_corpus_row(ff)
-        # ValueError: FactFileError, DeduceError, or a field that does not
-        # split the class; RuntimeError: l_disc found no representative
-        except (ValueError, RuntimeError) as e:
+        # FactFileError, DeduceError, or a field that does not split the class
+        except ValueError as e:
             ok, detail = False, "error: %s" % e
         if not ok:
             failures += 1

@@ -80,8 +80,9 @@ def s_span_l_disc(c, L):
 @lru_cache(maxsize=None)
 def split_products_by_class(L):
     """The smallest product of distinct odd split primes in each norm class,
-    keyed by the class as a set of places, as l_disc's table was kept
-    before it became a bitmask table of the per-field system."""
+    keyed by the class as a set of places: the split part of a
+    representative, as l_disc searched it before it read one table per
+    field from each norm class to its smallest representative."""
     want = 1 << (len(prime_factors(L.field_disc)) - 1)
     best = {frozenset(): 1}
     lo, hi = 2, 64
@@ -99,10 +100,11 @@ def split_products_by_class(L):
 
 
 def per_class_l_disc(c, L):
-    """l_disc as this package ran it before the per-field system: each call
+    """l_disc as this package ran it before its per-field table: each call
     builds its own basis, -1 and the primes of 2 * field_disc together with
     the finite ramified places of c, reduces its columns over F2, and
-    walks the kernel coset for every class of the split-product table."""
+    walks the kernel coset for every class of the split-product table.
+    None when nothing fits."""
     if not splits_in(c, L):
         raise ValueError("L is not a splitting field")
     primes = set(prime_factors(2 * L.field_disc))
@@ -386,16 +388,35 @@ class TestLDiscReference:
                 c = BrauerClassQ(frozenset(ram))
                 assert l_disc(c, L) == s_span_l_disc(c, L), c.render()
 
-    @pytest.mark.parametrize("d0", [1, 2, 3, 7, 10, 11, 15, 19, 43])
+    @pytest.mark.parametrize("d0", [1, 2, 3, 7, 10, 11, 15, 19, 23, 31, 43, 105, 1155, 15015])
     def test_matches_per_class_solve(self, d0):
         # the classes of test_matches_s_span_enumerator; 2 is inert for
-        # d0 = 11 and 19, ramified for 1, 2 and 10, and split for 7 and 15
+        # d0 = 3, 11, 19, 43 and 1155, ramified for 1, 2, 10 and 105, and
+        # split for 7, 15, 23, 31 and 15015; 2 * field_disc has 4 to 6
+        # primes for 105, 1155 and 15015
         L = ImagQuadField(d0)
         places = [INF] + [p for p in primes_up_to(59) if prime_behavior(L, p) != SPLIT]
         for r in (0, 2, 4, 6):
             for ram in combinations(places, r):
                 c = BrauerClassQ(frozenset(ram))
                 assert l_disc(c, L) == per_class_l_disc(c, L), c.render()
+
+    @pytest.mark.parametrize("d0", [3, 7, 15, 23, 1155, 15015])
+    def test_split_place_is_refused_whatever_else_ramifies(self, d0):
+        # a class holding a split prime, 2 when it splits (d0 = 7, 15, 23
+        # and 15015), has no representative: the table has no bit for it,
+        # and it is not in its own norm class
+        L = ImagQuadField(d0)
+        split = [p for p in primes_up_to(60) if prime_behavior(L, p) is SPLIT][:3]
+        places = [INF] + [p for p in primes_up_to(30) if prime_behavior(L, p) is not SPLIT]
+        assert (2 in split) == (d0 in (7, 15, 23, 15015))
+        for q in split:
+            for r in (1, 3):
+                for ram in combinations(places, r):
+                    c = BrauerClassQ(frozenset(ram + (q,)))
+                    for f in (l_disc, per_class_l_disc):
+                        with pytest.raises(ValueError, match="^L is not a splitting field$"):
+                            f(c, L)
 
     @pytest.mark.parametrize("d0", [1, 2, 3, 7, 10, 11, 15, 19, 43])
     def test_matches_per_class_solve_at_a_large_inert_prime(self, d0):

@@ -1124,6 +1124,8 @@ class TestLoader:
         ('"3": 5', '"3": 5, "3": 1', "character.group_order_factors.3"),
         ('"id": "o10p2_chi33"', '"id": "a", "id": "b"', "fact file.id"),
         ('"p": 7,', '"p": 7, "p": 5,', "character.mod_facts[0].p"),
+        ('"3": 5', '"%s": 5, "%s": 1' % ("x" * 5000, "x" * 5000),
+         "character.group_order_factors.%r... (5000 characters)" % ("x" * 40)),
     ])
     def test_literal_duplicate_key_rejected(self, tmp_path, old, new, where):
         text = json.dumps(SHEET_CHI33)
@@ -1150,6 +1152,43 @@ class TestLoader:
         assert out.splitlines()[0].split()[:5] == [
             "FAIL", "big", "load", "error:", "fact"]
         assert out.splitlines()[-1] == "0 sheets, 0 grams, 0 skipped: 1 failure"
+
+    @pytest.mark.parametrize("where, key, msg", [
+        ("group_order_factors", "1" * 5000, "a key has more than %d digits"
+         % sys.get_int_max_str_digits()),
+        ("group_order_factors", "x" * 5000, "expected a prime key"),
+        ("mod_facts", "x" * 5000, "unknown key"),
+    ], ids=["5000-digit-key", "5000-letter-key", "5000-letter-unknown-key"])
+    def test_oversized_key_is_named_briefly(self, capsys, tmp_path, where, key, msg):
+        # int() refuses a key over the digit limit in the interpreter's
+        # words, with a hint a user of the CLI cannot act on; a key over 40
+        # characters is named by its first 40 and its length
+        payload = json.loads(json.dumps(SHEET_CHI33))
+        block = payload["character"][where]
+        (block if isinstance(block, dict) else block[0])[key] = 1
+        rc, out, err = run(capsys, "deduce", write_json(tmp_path, "big.json", payload))
+        at = "group_order_factors" if where == "group_order_factors" else "mod_facts[0]"
+        assert (rc, out) == (1, "")
+        assert err == "error: character.%s.%r... (5000 characters): %s\n" % (at, key[:40], msg)
+        assert len(err) < 200
+
+    def test_fact_file_is_read_as_utf8_in_any_locale(self, tmp_path):
+        # JSON text is UTF-8; under the C locale, read_text() without an
+        # encoding decodes it as ASCII
+        payload = json.load(open(corpus_path("on3_chi57"), encoding="utf-8"))
+        payload["note"] = "character pair 57,58 of 3.ON — degree 116622"
+        path = tmp_path / "on3_chi57.json"
+        path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+        argv = [sys.executable, "-m", "udisc.cli", "deduce", str(path)]
+        src = str(Path(udisc.__file__).parent.parent)
+        base = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        c_env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0",
+                     PYTHONCOERCECLOCALE="0")
+        c = subprocess.run(argv, env=c_env, capture_output=True, text=True, timeout=120)
+        assert base.returncode == 0, base.stderr
+        assert base.stdout.startswith("disc = -10, Delta = (-3,-10)_Q, ram{inf,2,3,5}\n")
+        assert (c.returncode, c.stdout, c.stderr) == (0, base.stdout, "")
 
     def test_nonprime_fact_rejected(self, tmp_path):
         payload = json.loads(json.dumps(SHEET_CHI33))
