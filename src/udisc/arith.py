@@ -4,9 +4,10 @@ Stdlib only. Primality is trial division, then Miller-Rabin on the first 13
 prime bases, deterministic below 3317044064679887385961981 (Sorenson and
 Webster, Math. Comp. 86 (2017)); above it a strong Lucas test follows, which
 with base 2 makes Baillie-PSW (Baillie and Wagstaff, Math. Comp. 35 (1980)).
-Factoring is trial division, Brent's rho (BIT 20 (1980)), then stage-1 ECM
-(Lenstra, Ann. Math. 126 (1987)) on Montgomery curves with Suyama's
-parametrization (Montgomery, Math. Comp. 48 (1987)) under a fixed budget.
+Factoring returns a prime known to the cached primality test at once, else
+runs trial division, Brent's rho (BIT 20 (1980)), then stage-1 ECM (Lenstra,
+Ann. Math. 126 (1987)) on Montgomery curves with Suyama's parametrization
+(Montgomery, Math. Comp. 48 (1987)) under a fixed budget.
 """
 
 from __future__ import annotations
@@ -212,6 +213,8 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
 def _factor_abs(n: int) -> tuple[tuple[int, int], ...]:
     if n == 0:
         raise ValueError("factorization of 0 is undefined")
+    if is_prime(n):
+        return ((n, 1),)
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         if p * p > n:

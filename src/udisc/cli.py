@@ -131,7 +131,7 @@ def _as_even_dim(v, path, got=None):
     return v
 
 
-def _as_fraction(v, path, got=None):
+def _as_rational(v, path, got=None):
     if type(v) is int:
         v = [v, 1]
     if not (type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int):
@@ -147,16 +147,17 @@ def _as_fraction(v, path, got=None):
     return q
 
 
-def _as_nonzero(v, path, got=None):
-    if not (q := _as_fraction(v, path)):
-        _fail(path, "must be nonzero")
-    return q
+def _nonzero(message):
+    """A reader of a nonzero rational, refusing zero with message."""
+    def read(v, path, got=None):
+        if not (q := _as_rational(v, path)):
+            _fail(path, message)
+        return q
+    return read
 
 
-def _as_det(v, path, got=None):
-    if not (q := _as_fraction(v, path)):
-        _fail(path, "determinant must be nonzero")
-    return q
+_as_nonzero = _nonzero("must be nonzero")
+_as_det = _nonzero("determinant must be nonzero")
 
 
 def _as_places(v, path, got=None):
@@ -319,7 +320,7 @@ def _kind(what, **kinds):
             _fail(path, 'expected an object with a "kind" key')
         kind = _as_str(v["kind"], path + ".kind")
         if kind not in kinds:
-            _fail(path + ".kind", "unknown %s kind %r" % (what, kind))
+            _fail(path + ".kind", "unknown %s kind %s" % (what, _brief(kind)))
         r = kinds[kind]
         return _read(v, path, r, got) if isinstance(r, dict) else r(v, path, got)
     return read
@@ -659,15 +660,17 @@ def _parse_place(s: str):
         raise ValueError('place must be "inf" or a prime') from None
 
 
-# a decimal exponent, which Fraction turns into 10**exponent before any check
-_EXPONENT = re.compile(r"\s*[-+]?[\d_.]+e([-+]?[\d_]+)\s*", re.I)
+# the digit runs Fraction converts before any check: numerator, denominator,
+# either side of the point and the exponent, which becomes 10**exponent
+_RATIONAL = re.compile(r"[-+]?([\d_]*)(?:/([\d_]+)|(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?)")
 
 
 def _parse_rational(s: str) -> Fraction:
-    exp = _EXPONENT.fullmatch(s)
+    m = _RATIONAL.fullmatch(s.strip())
     limit = sys.get_int_max_str_digits()
     try:
-        big = exp and limit and abs(int(exp[1])) > limit
+        big = m and limit and (max(len(r.replace("_", "")) for r in m.groups("")) > limit
+                               or abs(int(m[4] or 0)) > limit)
         a = None if big else Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise ValueError("malformed rational %s" % _brief(s))

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional, Union
 from .arith import is_prime
 from .brauer import BrauerClassQ, from_pair, l_disc, splits_in
 from .quadfield import ImagQuadField, PrimeBehavior, prime_behavior
-from .symbols import INF, Place, Rational, legendre, place_sort_key, relevant_places
+from .symbols import INF, Place, Rational, _brief, legendre, place_sort_key, relevant_places
 
 # more free places would need > 2^8 parity-even completions
 _MAX_FREE_PLACES = 9
@@ -96,7 +96,7 @@ class Constituent:
         hyperbolic: bool = False,
     ):
         if indicator not in ("+", "-", "o"):
-            raise ValueError(f"indicator must be '+', '-' or 'o', got {indicator!r}")
+            raise ValueError(f"indicator must be '+', '-' or 'o', got {_brief(indicator)}")
         if degree <= 0 or mult <= 0:
             raise ValueError("constituent degree and multiplicity must be positive")
         self.indicator = indicator
@@ -175,7 +175,8 @@ class AlphaFacts:
     def __init__(self, q_class: BrauerClassQ, m: int, alpha_disc: Rational,
                  indicator_ext: str):
         if indicator_ext not in ("+", "-"):
-            raise ValueError(f"extension indicator must be '+' or '-', got {indicator_ext!r}")
+            raise ValueError("extension indicator must be '+' or '-', got "
+                             + _brief(indicator_ext))
         if not isinstance(m, int) or m <= 0:
             raise ValueError(f"m must be a positive integer, got {m!r}")
         self.q_class = q_class
@@ -556,7 +557,7 @@ def alpha_class(q_class: BrauerClassQ, m: int, alpha_disc: Rational,
     alone for a symplectic one. The class of (L, ldisc(q)) is q, so
     l_disc of this class is ldisc(q)^m times alpha_disc, or ldisc(q)^m."""
     if indicator_ext not in ("+", "-"):
-        raise ValueError(f"extension indicator must be '+' or '-', got {indicator_ext!r}")
+        raise ValueError(f"extension indicator must be '+' or '-', got {_brief(indicator_ext)}")
     if not splits_in(q_class, L):
         raise ValueError("L is not a splitting field")
     cls = q_class.pow(m)

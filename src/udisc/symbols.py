@@ -154,21 +154,12 @@ def relevant_places(*qs: Rational) -> list[Place]:
     """INF plus 2 and the primes dividing a numerator or denominator of qs.
 
     Away from these, (a,b)_v is +1 for any a, b among the qs.  Each
-    numerator and denominator is factored on its own, never the product;
-    an integer is read as itself, and one that is_prime (cached) knows as
-    a prime is not factored at all.
+    numerator and denominator is factored on its own, never the product.
     """
     primes = {2}
     for q in qs:
-        if isinstance(q, int):
-            n = abs(q)
-            if is_prime(n):
-                primes.add(n)
-            else:
-                primes.update(prime_factors(n))
-        else:
-            q = _as_fraction(q)
-            primes.update(prime_factors(q.numerator), prime_factors(q.denominator))
+        q = _as_fraction(q)
+        primes.update(prime_factors(q.numerator), prime_factors(q.denominator))
     return [INF] + sorted(primes)
 
 

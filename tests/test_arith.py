@@ -191,6 +191,20 @@ class TestECM:
         assert factor(p * q) == factor(-p * q) == ((p, 1), (q, 1))
         assert calls == [p * q]
 
+    def test_known_prime_needs_no_trial_division(self, monkeypatch):
+        # a prime the cached primality test has seen is answered at once
+        p = 1000000000000037
+        assert is_prime(p)
+        arith._factor_abs.cache_clear()
+
+        class Refuse:
+            def __iter__(self):
+                raise AssertionError("factor trial-divided a known prime")
+
+        monkeypatch.setattr(arith, "_SMALL_PRIMES", Refuse())
+        assert factor(p) == factor(-p) == ((p, 1),)
+        assert prime_factors(p) == [p]
+
     @pytest.mark.parametrize("b1", [1, 2, 10, 100, 11000])
     def test_ladder_is_lcm(self, b1):
         assert arith._ladder_bits(b1) == bin(math.lcm(*range(1, b1 + 1)))[2:]

@@ -204,15 +204,18 @@ class TestSymbolCommand:
 
 
     # an argument over 40 characters is named by its first 40 and its length
-    @pytest.mark.parametrize("a,want", [
-        ("1" * 5000, "malformed rational {}"),
-        ("x" * 41, "malformed rational {}"),
-        ("1" * 41 + "e5000", "rational {}: more than {} digits"),
-    ], ids=["5000-digits", "41-letters", "long-exponent"])
-    def test_long_argument_is_shown_cut(self, capsys, a, want):
+    @pytest.mark.parametrize("command,a,want", [
+        ("symbol", "1" * 5000, "rational {}: more than {} digits"),
+        ("symbol", "1/" + "3" * 4400, "rational {}: more than {} digits"),
+        ("isnorm", "7" * 4301, "rational {}: more than {} digits"),
+        ("symbol", "x" * 41, "malformed rational {}"),
+        ("symbol", "1" * 41 + "e5000", "rational {}: more than {} digits"),
+    ], ids=["5000-digits", "long-denominator", "isnorm-4301-digits", "41-letters",
+            "long-exponent"])
+    def test_long_argument_is_shown_cut(self, capsys, command, a, want):
         shown = "%r... (%d characters)" % (a[:40], len(a))
         want = want.format(shown, sys.get_int_max_str_digits())
-        assert run(capsys, "symbol", a, "3") == (1, "", "error: %s\n" % want)
+        assert run(capsys, command, a, "3") == (1, "", "error: %s\n" % want)
 
     # Fraction would compute 10**exponent before any digit check
     @pytest.mark.parametrize("command", ["symbol", "isnorm"])
@@ -981,6 +984,11 @@ def _constituent(payload):
     return payload["relations"][0]["constituents"][0]
 
 
+# a 5000-character value, and how a refusal names it
+LONG = "x" * 5000
+LONG_SHOWN = "'%s'... (5000 characters)" % ("x" * 40)
+
+
 class TestLoader:
     def test_sheet_fields(self):
         ff = load_fact_file(corpus_path("o10p2_chi33"))
@@ -1282,6 +1290,15 @@ class TestLoader:
          "expected.discs: expected at least one candidate"),
         (lambda d: d.update(expected={"kind": "maybe"}),
          "expected.kind: unknown expected kind 'maybe'"),
+        (lambda d: d.update(expected={"kind": LONG}),
+         "expected.kind: unknown expected kind " + LONG_SHOWN),
+        (lambda d: d["relations"][0].update(kind=LONG),
+         "relations[0].kind: unknown relation kind " + LONG_SHOWN),
+        (lambda d: _constituent(d).update(indicator=LONG),
+         "relations[0].constituents[0]: indicator must be '+', '-' or 'o', got " + LONG_SHOWN),
+        (lambda d: d["character"].update(alpha_facts={
+            "q_class": [], "m": 3, "indicator_ext": LONG, "alpha_disc": 5}),
+         "character.alpha_facts: extension indicator must be '+' or '-', got " + LONG_SHOWN),
         (lambda d: d.pop("character"), "relations: requires a character block"),
     ])
     def test_schema_error(self, tmp_path, edit, msg):

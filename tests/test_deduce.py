@@ -1027,6 +1027,12 @@ class TestAlphaCombine:
         with pytest.raises(ValueError, match="splitting field"):
             alpha_class(from_pair(-1, -1), 3, 1, "+", Q7)
 
+    def test_long_indicator_is_shown_cut(self):
+        with pytest.raises(ValueError) as e:
+            alpha_class(cls(), 3, 7, "x" * 5000, Q3)
+        assert str(e.value) == ("extension indicator must be '+' or '-', got '%s'..."
+                                " (5000 characters)" % ("x" * 40))
+
 
 class TestAlphaClass:
     def test_orthogonal_extension_multiplies_by_the_alpha_pair(self):

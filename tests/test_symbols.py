@@ -308,3 +308,6 @@ class TestReciprocity:
         assert relevant_places(-1, -1) == [INF, 2]
         assert relevant_places(3, 7) == [INF, 2, 3, 7]
         assert relevant_places(Fraction(1, 5), 6) == [INF, 2, 3, 5]
+        assert relevant_places(1000003, -30) == [INF, 2, 3, 5, 1000003]
+        assert relevant_places(1) == [INF, 2]
+        assert relevant_places(Fraction(7, 1000003), -1) == [INF, 2, 7, 1000003]
