@@ -5,7 +5,8 @@ Fact files are JSON documents describing either a character fact sheet
 matrix (block "gram"), with all rationals written as integers or
 [numerator, denominator] pairs. Each kind of object in them is one table
 of its keys, readers and defaults, and a test checks that the README names
-every key. The table COMMANDS at the end names the five subcommands.
+every key. The table COMMANDS at the end names the five subcommands, and
+main reads from it alone how each takes its tokens.
 
 Exit codes: 0 success, 1 error, 2 inconclusive deduction (candidate
 list or under-determined), 3 corpus mismatch.
@@ -165,11 +166,9 @@ def _as_places(v, path, got=None):
         _fail(path, "expected a list of places")
     out = set()
     for i, x in enumerate(v):
-        if x == "inf":
-            out.add(INF)
-        elif type(x) is int and is_prime(x):
-            out.add(int(x))
-        else:
+        try:
+            out.add(_place(x))
+        except ValueError:
             _fail("%s[%d]" % (path, i), 'expected "inf" or a prime')
     return frozenset(out)
 
@@ -472,6 +471,8 @@ _FILE = {
     "out_of_scope": (_as_bool, False),
     # a row outside the tool's scope is read no further
     (lambda v, path, got: got["out_of_scope"]): None,
+    (lambda v, path, got: "character" in v and "gram" in v
+     and _fail(path, "give at most one of character and gram")): None,
     # read with the character block, after its own relations
     "relations": (_raw, []),
     "character": (_load_sheet, _OMIT),
@@ -801,7 +802,9 @@ def cmd_corpus(as_json, dir=None) -> int:
 # the command table
 
 
-# command: (function, arguments, help); a bracketed argument may be left out
+# command: (function, arguments, help); a bracketed argument may be left out.
+# main reads a token that starts with "-" as an option under a file or [dir]
+# argument, and prints a --json failure as an error report under a file one
 COMMANDS = {
     "deduce": (cmd_deduce, "file", "run the deduction engine on a fact file"),
     "hform": (cmd_hform, "file", "invariants of a Gram matrix fact file"),
@@ -809,9 +812,6 @@ COMMANDS = {
     "isnorm": (cmd_isnorm, "a delta0", "is a a norm of Q(sqrt(-delta0))?"),
     "corpus": (cmd_corpus, "[dir]", "re-check a directory of fact files"),
 }
-# these take paths, so a token that starts with "-" is an option; symbol and
-# isnorm take negative rationals and read every token as an argument
-_PATHS = ("deduce", "hform", "corpus")
 _USAGE = "usage: udisc [-h] [--json] command [argument ...]"
 
 
@@ -823,7 +823,8 @@ def _usage_error(usage: str, reason: str) -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command, *values = [t for t in argv if t not in ("--json", "--")] or [None]
-    options = [v for v in values if v.startswith("-")] if command in _PATHS else []
+    fn, args, _ = COMMANDS.get(command, (None, "", None))
+    options = [v for v in values if v.startswith("-")] if args in ("file", "[dir]") else []
     if command in ("-h", "--help") or {"-h", "--help"} & set(options):
         print(_USAGE + "\n\nunitary discriminants of Hermitian forms and characters"
               "\n\ncommands:")
@@ -831,11 +832,10 @@ def main(argv=None) -> int:
             print("  %-22s%s" % (name + " " + args, text))
         print("\n--json, before or after the command, prints JSON instead of text")
         return 0
-    if command not in COMMANDS:
+    if fn is None:
         return _usage_error(_USAGE, "missing command" if command is None else
                             "unknown command %r (choose from %s)"
                             % (command, ", ".join(COMMANDS)))
-    fn, args, _ = COMMANDS[command]
     usage = "usage: udisc [--json] %s %s" % (command, args)
     if options:
         return _usage_error(usage, "unrecognized option %r" % options[0])
@@ -844,7 +844,7 @@ def main(argv=None) -> int:
     try:
         return fn("--json" in argv, *values)
     except ValueError as e:
-        if "--json" in argv and fn in (cmd_deduce, cmd_hform):
+        if "--json" in argv and args == "file":
             report = Report(id=Path(values[0]).stem, kind="error", error=str(e))
             print(json.dumps(report_to_json(report), indent=2))
         else:

@@ -334,7 +334,7 @@ _RULES = (
     _Rule("infinite place parity", ("degree",), ("inf",), None,
           lambda degree, v: _R if degree % 4 == 2 else _U,
           "the archimedean place ramifies in Delta(chi) iff degree == 2 mod 4"),
-    _Rule("split place", ("split_schur_trivial",), _SPLIT, None, _U,
+    _Rule("split place", ("split_schur_trivial",), _SPLIT, lambda flag: flag, _U,
           "a quaternion class split by L cannot ramify at a place that splits in L;"
           " with local Schur index 1 the invariant lattice stays self-dual there"),
     _Rule("inert stable reduction", (FactStatus.IRREDUCIBLE, FactStatus.UNITARY_STABLE),
@@ -374,7 +374,7 @@ _RULES = (
           "Delta(chi) is the product of the constituent contributions of a unitary"
           " stable restriction"),
     _Rule("induction from subgroup", (InductionRelation,), None, lambda rel: rel.field_degree_odd,
-          lambda rel, sheet: combine_induction(rel.psi_delta, rel.index, rel.field_degree_odd),
+          lambda rel, sheet: combine_induction(rel.psi_delta, rel.index),
           "a unitary stable induced character multiplies the class of psi by the"
           " parity of the subgroup index"),
     _Rule("tensor factorisation", (TensorRelation,), None, None,
@@ -414,15 +414,15 @@ def _apply(asg: _Assignment, sheet: CharacterFactSheet, facts):
 def _local_assignment(sheet: CharacterFactSheet) -> _Assignment:
     """The assignment made by the local facts and the quaternion subgroup."""
     asg = _Assignment(sheet)
-    finite = [v for v in asg.kinds if v != INF]
+    every = list(asg.kinds)
     s = sheet.structural
-    # (fact kind, fact, the places it speaks about), in the order of the trace
-    facts = [("degree", sheet.degree, [INF])]
-    if sheet.split_schur_trivial:
-        facts.append(("split_schur_trivial", True, finite))
+    # (fact kind, fact, the places it speaks about), in the order of the
+    # trace; each row's places pick the kinds it applies to
+    facts = [("degree", sheet.degree, every),
+             ("split_schur_trivial", sheet.split_schur_trivial, every)]
     facts += [(f.status, f, [f.p]) for f in sheet.mod_facts]
     if s is not None:
-        facts.append(("center_order", s, finite))
+        facts.append(("center_order", s, every))
         facts += [("orth_dim_sum_mod4", s, [p]) for p in sorted(s.orth_dim_sum_mod4)]
         facts.append(("q8_subgroup", s, None))
     _apply(asg, sheet, facts)
@@ -531,15 +531,10 @@ def combine_restriction(L: ImagQuadField, constituents) -> BrauerClassQ:
     return total
 
 
-def combine_induction(
-    psi_delta: BrauerClassQ, index: int, field_degree_odd: bool
-) -> BrauerClassQ | None:
-    """Class of an induced character: trivial for even subgroup index, the
-    (already corestricted) class of psi for odd index. None, deciding
-    nothing, for an even relative degree between the character fields,
-    which gives only local information."""
-    if not field_degree_odd:
-        return None
+def combine_induction(psi_delta: BrauerClassQ, index: int) -> BrauerClassQ:
+    """Class of a character induced over an odd relative degree between the
+    character fields: trivial for even subgroup index, the (already
+    corestricted) class of psi for odd index."""
     if index % 2 == 0:
         return BrauerClassQ(frozenset())
     return psi_delta

@@ -1005,6 +1005,19 @@ class TestLoader:
         assert ff.gram.field == ImagQuadField(10)
         assert ff.expected["kind"] == "hform"
 
+    def test_character_and_gram_together_are_refused(self, capsys, tmp_path):
+        # deduce would answer from the one block, hform from the other
+        path = write_json(tmp_path, "both.json",
+                          dict(SHEET_CHI33, gram=GRAM_I2["gram"], expected={
+                              "kind": "unique", "disc": -1, "ram": ["inf", 3]}))
+        msg = "fact file: give at most one of character and gram"
+        for command in ("deduce", "hform"):
+            assert run(capsys, command, path) == (1, "", "error: %s\n" % msg)
+        rc, out, _ = run(capsys, "corpus", str(tmp_path))
+        assert rc == 3
+        assert out.splitlines() == ["FAIL  both                load error: " + msg,
+                                    "0 sheets, 0 grams, 0 skipped: 1 failure"]
+
     def test_gram_agrees_with_the_public_constructor(self, tmp_path):
         # cells with negative and unreduced denominators, and the mirror cell
         # written apart from its conjugate: the loader's integer matrices give

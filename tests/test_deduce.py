@@ -972,13 +972,25 @@ class TestCombineRestriction:
 
 class TestCombineInduction:
     def test_even_index_gives_trivial_class(self):
-        assert combine_induction(cls(INF, 3), 4, True) == cls()
+        assert combine_induction(cls(INF, 3), 4) == cls()
 
     def test_odd_index_keeps_class(self):
-        assert combine_induction(cls(INF, 3), 3, True) == cls(INF, 3)
+        assert combine_induction(cls(INF, 3), 3) == cls(INF, 3)
 
     def test_even_relative_field_degree_decides_nothing(self):
-        assert combine_induction(cls(INF, 3), 3, False) is None
+        # over an odd relative degree the relation settles the candidates
+        # {-5, -10} to -5; over an even one the sheet resolves as without it
+        s = sheet_on_chi57(with_dyadic_neighbour_fact=False)
+
+        def induced(field_degree_odd):
+            rel = InductionRelation(cls(INF, 5), index=1, field_degree_odd=field_degree_odd)
+            return CharacterFactSheet(id=s.id, degree=s.degree, field=s.field,
+                                      group_order_factors=s.group_order_factors,
+                                      mod_facts=s.mod_facts, relations=(rel,))
+
+        assert resolve(induced(True)).result == Unique(cls(INF, 5), -5)
+        assert isinstance(resolve(s).result, Candidates)
+        assert resolve(induced(False)) == resolve(s)
 
 
 class TestCombineTensor:

@@ -29,6 +29,10 @@ exactly the survivors: Unique when it is the only one.
 The same predicates check the local rules one fact at a time: for every
 kind of local fact at every kind of place, the status `apply_local_rules`
 gives a place is the one that the sets allowed by every rule force on it.
+
+A fact that no row of `deduce._READERS` applies to, by the rows' places
+and conditions alone, must leave resolve's statuses, result and trace as
+they were without it.
 """
 
 import random
@@ -54,7 +58,9 @@ from udisc.deduce import (
     Structural,
     TensorRelation,
     Unique,
+    _READERS,
     _RULES,
+    _Assignment,
     alpha_class,
     apply_local_rules,
     candidate_places,
@@ -89,7 +95,7 @@ def fixed_classes(sheet):
         elif isinstance(rel, InductionRelation):
             # an even relative field degree gives only local information
             if rel.field_degree_odd:
-                fixed.append(combine_induction(rel.psi_delta, rel.index, True))
+                fixed.append(combine_induction(rel.psi_delta, rel.index))
         else:
             fixed.append(combine_tensor(rel.delta_chi, rel.psi_degree))
     a = sheet.alpha_facts
@@ -287,6 +293,36 @@ def grid_sheets(L, p):
 GRID_PLACES = [(L, p) for L, odd in GRID.items() for p in (2, *odd.values(), OUTSIDE)]
 
 
+def outcome(sheet):
+    """What resolve reports: statuses, result and trace, or its refusal."""
+    try:
+        return resolve(sheet)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def no_row_reads(read, fact, places, kinds):
+    """True when no row of _READERS[read] applies to fact at places: each
+    row's condition fails on it, or the row lists none of the kinds of
+    places; a class row (places None) would settle every place."""
+    return not any((r.when is None or r.when(fact))
+                   and (r.places is None or any(kinds.get(v) in r.places for v in places))
+                   for r in _READERS[read])
+
+
+def structural_unread(s, kinds):
+    # every local fact kind a Structural record is read as
+    return (no_row_reads("center_order", s, list(kinds), kinds)
+            and no_row_reads("q8_subgroup", s, list(kinds), kinds)
+            and all(no_row_reads("orth_dim_sum_mod4", s, [p], kinds)
+                    for p in s.orth_dim_sum_mod4))
+
+
+def amended(sheet, **changes):
+    return CharacterFactSheet(**{k: changes.get(k, getattr(sheet, k))
+                                 for k in CharacterFactSheet.__slots__})
+
+
 @pytest.mark.parametrize("L, p", GRID_PLACES, ids=lambda x: str(x))
 def test_local_rules_give_what_the_reference_forces(L, p):
     for args, sheet in grid_sheets(L, p):
@@ -295,6 +331,11 @@ def test_local_rules_give_what_the_reference_forces(L, p):
             (f,) = args["mod_facts"]
             assert f.status in ORTH and prime_behavior(L, p) is not PrimeBehavior.RAMIFIED
             continue
+        kinds, s = _Assignment(sheet).kinds, sheet.structural
+        if all(no_row_reads(f.status, f, [f.p], kinds) for f in sheet.mod_facts) and (
+                s is None or structural_unread(s, kinds)):
+            # a fact that no row applies to decides nothing
+            assert outcome(sheet) == outcome(amended(sheet, mod_facts=(), structural=None)), args
         places = candidate_places(sheet)
         if p not in places:
             # a fact outside the candidate places decides nothing
@@ -321,6 +362,41 @@ def test_local_rules_give_what_the_reference_forces(L, p):
             want = (PlaceStatus.UNKNOWN if len(seen) == 2 else
                     PlaceStatus.RAMIFIED if True in seen else PlaceStatus.UNRAMIFIED)
             assert status is want, (args, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sheets(), st.data())
+def test_facts_no_row_reads_decide_nothing(sheet, data):
+    kinds = _Assignment(sheet).kinds
+    want = outcome(sheet)
+    # every mod fact at a candidate prime or outside them that no row reads
+    for status, v, defect_one in product(FactStatus, [*kinds, OUTSIDE], (False, True)):
+        if v == INF:
+            continue
+        f = ModFact(v, status, defect_one, external=v not in sheet.group_order_factors)
+        if no_row_reads(status, f, [v], kinds):
+            if status in ORTH and prime_behavior(sheet.field, v) is not PrimeBehavior.RAMIFIED:
+                continue  # the constructor refuses it
+            at = data.draw(st.integers(0, len(sheet.mod_facts)))
+            facts = list(sheet.mod_facts)
+            facts.insert(at, f)
+            assert outcome(amended(sheet, mod_facts=facts)) == want, (status, v, defect_one)
+    # an induction over an even relative degree between the character fields
+    places = [INF, 2, *sheet.group_order_factors]
+    rel = InductionRelation(data.draw(classes(places)), data.draw(st.integers(1, 3)), False)
+    assert no_row_reads(InductionRelation, rel, list(kinds), kinds)
+    at = data.draw(st.integers(0, len(sheet.relations)))
+    relations = list(sheet.relations)
+    relations.insert(at, rel)
+    assert outcome(amended(sheet, relations=relations)) == want
+    # the center rules of a group that is not perfect
+    if sheet.structural is None:
+        s = Structural(perfect=False, center_order=data.draw(st.sampled_from([1, 2, 4, 6])),
+                       orth_dim_sum_mod4=data.draw(st.dictionaries(
+                           st.sampled_from(places[1:]), st.sampled_from([0, 2]), max_size=3)),
+                       faithful=data.draw(st.booleans()))
+        assert structural_unread(s, kinds)
+        assert outcome(amended(sheet, structural=s)) == want
 
 
 def drawn_sheets():
