@@ -535,9 +535,7 @@ def combine_induction(psi_delta: BrauerClassQ, index: int) -> BrauerClassQ:
     """Class of a character induced over an odd relative degree between the
     character fields: trivial for even subgroup index, the (already
     corestricted) class of psi for odd index."""
-    if index % 2 == 0:
-        return BrauerClassQ(frozenset())
-    return psi_delta
+    return psi_delta.pow(index)
 
 
 def combine_tensor(delta_chi: BrauerClassQ, psi_degree: int) -> BrauerClassQ:

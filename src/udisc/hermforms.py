@@ -242,26 +242,23 @@ def quad_invariants(cs: tuple, places: list | None = None) -> QuadInvariants:
 
 def clifford_invariant(cs: tuple, inv: QuadInvariants | None = None) -> BrauerClassQ:
     """Clifford (Witt) invariant, as a Brauer class, of the diagonal
-    rational form with coefficients cs.
+    rational form with coefficients cs: the class of its Clifford algebra
+    C(q) in even dimension, and of the even part C_0(q) in odd dimension.
 
-    Convention: with s the product of the symbol classes (c_i, c_j) over
-    i < j and d the signed disc, the full Clifford algebra class is s for
-    dim 1,2 mod 8, s*(-1,-d) for 3,4, s*(-1,-1) for 5,6, s*(-1,d) for 7,0.
-    s ramifies where the Hasse symbol is -1; pass quad_invariants(cs) when
-    it is at hand.
+    With s the product of the symbol classes (c_i, c_j) over i < j, d the
+    signed disc and r = dim mod 8, the class is s for r = 1, 2, s*(-1,d)
+    for 3, 0, s*(-1,-d) for 4, 7 and s*(-1,-1) for 5, 6 (Lam, Introduction
+    to Quadratic Forms over Fields, Ch. V). By bilinearity the correction
+    is one symbol (-1, c): c takes a factor -1 when r is 4, 5, 6 or 7, and
+    d when r is 0, 3, 4 or 7. s ramifies where the Hasse symbol is -1;
+    pass quad_invariants(cs) when it is at hand.
     """
     if inv is None:
         inv = quad_invariants(cs)
     s = BrauerClassQ(frozenset(v for v, e in inv.hasse.items() if e == -1))
-    d = inv.disc
     r = inv.dim % 8
-    if r in (1, 2):
-        return s
-    if r in (3, 4):
-        return s.mul(from_pair(-1, -d))
-    if r in (5, 6):
-        return s.mul(from_pair(-1, -1))
-    return s.mul(from_pair(-1, d))
+    c = (-1 if r >= 4 else 1) * (inv.disc if r in (0, 3, 4, 7) else 1)
+    return s if c == 1 else s.mul(from_pair(-1, c))
 
 
 class FormInvariants(NamedTuple):

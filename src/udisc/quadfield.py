@@ -18,6 +18,7 @@ from .symbols import (
     _as_fraction,
     _brief,
     _symbol_set,
+    _unit_mod,
     _val_unit,
     hilbert,
     legendre,
@@ -157,7 +158,6 @@ def is_norm_by_criteria(a: Rational, L: ImagQuadField) -> bool:
         # scale by (-d)^(-k): -d is a norm and has valuation 1 at p
         _, m = _val_unit(Fraction(-d), p)
         u_adj = u * m ** (-k % 2)  # only the parity of k matters
-        res = u_adj.numerator * pow(u_adj.denominator, -1, p) % p
-        if legendre(res, p) == -1:
+        if legendre(_unit_mod(u_adj, p), p) == -1:
             return False
     return True

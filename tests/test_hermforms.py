@@ -548,13 +548,35 @@ class TestCliffordInvariant:
         assert not clifford_invariant((1, -1, 1, -1)).ram
 
     def test_all_dims_mod_8(self):
-        # transfer identity pins the table in every residue; exercise each
-        # dimension 2..12 once with a definite form
+        # a transfer of an n-dimensional form has dimension 2n, so the
+        # transfer identity pins the table in the even residues only;
+        # exercise each dimension 2..12 once with a definite form
         rng = random.Random(3)
         for n in range(1, 7):
             field = ImagQuadField(rng.choice([1, 2, 3, 5, 7, 10, 15]))
             h = rand_pos_def(rng, field, n, span=2)
             assert clifford_invariant(transfer_quadratic(h)) == delta(h)
+
+    def test_hyperbolic_plane_changes_nothing(self):
+        # the Witt invariant of q and of q + <x, -x> agree in every dimension,
+        # which pins the odd residues too
+        rng = random.Random(17)
+        for dim in range(1, 17):
+            for _ in range(8):
+                cs = tuple(rng.choice((-1, 1)) * Fraction(rng.randint(1, 60), rng.randint(1, 6))
+                           for _ in range(dim))
+                x = rng.choice((-1, 1)) * rng.randint(1, 60)
+                assert clifford_invariant(cs + (x, -x)) == clifford_invariant(cs), cs
+
+    def test_ternary_is_its_even_clifford_algebra(self):
+        # C_0(<a, b, c>) is the quaternion algebra (-ab, -bc)
+        rng = random.Random(19)
+        for _ in range(60):
+            a, b, c = (rng.choice((-1, 1)) * rng.randint(1, 99) for _ in range(3))
+            assert clifford_invariant((a, b, c)) == from_pair(-a * b, -b * c), (a, b, c)
+
+    def test_sum_of_three_squares_gives_hamilton_quaternions(self):
+        assert clifford_invariant((1, 1, 1)).ram == {INF, 2}
 
 
 class TestSquarefreeReduce:

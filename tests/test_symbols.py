@@ -304,6 +304,11 @@ class TestReciprocity:
     def test_always_true(self, a, b):
         assert hilbert_reciprocity_check(a, b)
 
+    @pytest.mark.parametrize("a, b", [(0, 3), (3, 0), (Fraction(0, 5), -1)])
+    def test_zero_is_refused_as_hilbert_refuses_it(self, a, b):
+        with pytest.raises(ValueError, match="hilbert symbol needs nonzero arguments"):
+            hilbert_reciprocity_check(a, b)
+
     def test_relevant_places_order(self):
         assert relevant_places(-1, -1) == [INF, 2]
         assert relevant_places(3, 7) == [INF, 2, 3, 7]
