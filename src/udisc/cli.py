@@ -716,18 +716,14 @@ def cmd_isnorm(as_json, a, delta0) -> int:
 
 def _check_corpus_row(ff: FactFile):
     # returns (ok, detail) for one fact file with an expected block
-    exp = ff.expected
-    if ff.gram is not None:
-        if exp["kind"] != "hform":
-            return False, "expected kind %r does not fit a gram row" % exp["kind"]
-        report = _gram_report(ff)
-        if not report.transfer["clifford_ok"]:
-            return False, "clifford invariant mismatch"
-    else:
-        report = _sheet_report(ff)
-        if exp["kind"] not in ("unique", "candidates"):
-            return False, ("expected kind %r does not fit a character row"
-                           % exp["kind"])
+    exp, gram = ff.expected, ff.gram is not None
+    # the fit is decided before either kind of row is answered
+    if exp["kind"] not in (("hform",) if gram else ("unique", "candidates")):
+        return False, ("expected kind %r does not fit a %s row"
+                       % (exp["kind"], "gram" if gram else "character"))
+    report = _gram_report(ff) if gram else _sheet_report(ff)
+    if report.transfer is not None and not report.transfer["clifford_ok"]:
+        return False, "clifford invariant mismatch"
     if exp["kind"] == "candidates":
         if report.kind != "candidates":
             return False, "expected candidates, got %s" % report.kind

@@ -9,13 +9,15 @@ decompositions, or the discriminant of an alpha-fixed Hermitian space).
 The target is the discriminant algebra Delta(chi): a quaternion class over
 Q that is split by L, so it is determined by its finite set of ramified
 places. Each criterion is one row of _RULES: a local row marks single
-places Ramified or Unramified, a class row fixes every place at once. The
-facts are read in order: the local ones, the quaternion subgroup, the
-relations in sheet order, then the alpha facts. Places left Unknown are
-closed under the even-ramification parity of quaternion classes, and the
-engine emits either the unique answer, the candidate discriminants
-compatible with the facts, or an under-determined verdict. Every decision
-carries a trace line naming the rule and the reason it applies.
+places Ramified or Unramified, a class row fixes every place at once (an
+induction or tensor row is one BrauerClassQ.pow). The facts are read in
+order: the local ones, the quaternion subgroup, the relations in sheet
+order, then the alpha facts. Places left Unknown, found in one scan in
+place order, are closed under the even-ramification parity of quaternion
+classes, and the engine emits either the unique answer, the candidate
+discriminants compatible with the facts, or an under-determined verdict.
+Every decision carries a trace line naming the rule and the reason it
+applies.
 """
 
 from __future__ import annotations
@@ -374,11 +376,11 @@ _RULES = (
           "Delta(chi) is the product of the constituent contributions of a unitary"
           " stable restriction"),
     _Rule("induction from subgroup", (InductionRelation,), None, lambda rel: rel.field_degree_odd,
-          lambda rel, sheet: combine_induction(rel.psi_delta, rel.index),
+          lambda rel, sheet: rel.psi_delta.pow(rel.index),
           "a unitary stable induced character multiplies the class of psi by the"
           " parity of the subgroup index"),
     _Rule("tensor factorisation", (TensorRelation,), None, None,
-          lambda rel, sheet: combine_tensor(rel.delta_chi, rel.psi_degree),
+          lambda rel, sheet: rel.delta_chi.pow(rel.psi_degree),
           "Delta(chi tensor psi) = Delta(chi)^deg(psi) when the product is unitary stable"),
     _Rule("alpha fixed algebra", ("alpha_facts",), None, None,
           lambda a, sheet: alpha_class(a.q_class, a.m, a.alpha_disc, a.indicator_ext, sheet.field),
@@ -450,13 +452,15 @@ def resolve(sheet: CharacterFactSheet) -> DeductionReport:
     alpha = [] if sheet.alpha_facts is None else [("alpha_facts", sheet.alpha_facts, None)]
     _apply(asg, sheet, [(type(rel), rel, None) for rel in sheet.relations] + alpha)
 
-    # parity closure: even ramification decides a single unknown place
+    # parity closure: even ramification decides a single unknown place.
+    # statuses keeps the order of candidate_places, [INF] + sorted primes,
+    # so unknowns is in place order
     statuses = asg.statuses
     unknowns = [v for v, s in statuses.items() if s is PlaceStatus.UNKNOWN]
     odd = sum(s is PlaceStatus.RAMIFIED for s in statuses.values()) % 2
     if len(unknowns) == 1:
         status = PlaceStatus.RAMIFIED if odd else PlaceStatus.UNRAMIFIED
-        asg.assign(unknowns[0], status, "parity closure", _CIT_PARITY)
+        asg.assign(unknowns.pop(), status, "parity closure", _CIT_PARITY)
     elif not unknowns and odd:
         raise DeduceError(
             "parity violation: an odd number of places ramifies and no place is free"
@@ -469,9 +473,6 @@ def resolve(sheet: CharacterFactSheet) -> DeductionReport:
                 f"rule '{asg.rule_by_place[v]}' ramifies {v}, which splits in {L};"
                 " no class ramified there has L as a splitting field"
             )
-    unknowns = sorted(
-        (v for v, s in statuses.items() if s is PlaceStatus.UNKNOWN), key=place_sort_key
-    )
     # a split place never ramifies in a class that L splits
     free = [v for v in unknowns if v not in split]
     if len(free) > _MAX_FREE_PLACES:
@@ -529,18 +530,6 @@ def combine_restriction(L: ImagQuadField, constituents) -> BrauerClassQ:
                 part = part.mul(from_pair(L.field_disc, c.ortho_disc))
         total = total.mul(part)
     return total
-
-
-def combine_induction(psi_delta: BrauerClassQ, index: int) -> BrauerClassQ:
-    """Class of a character induced over an odd relative degree between the
-    character fields: trivial for even subgroup index, the (already
-    corestricted) class of psi for odd index."""
-    return psi_delta.pow(index)
-
-
-def combine_tensor(delta_chi: BrauerClassQ, psi_degree: int) -> BrauerClassQ:
-    """Class of a unitary stable tensor product chi x psi."""
-    return delta_chi.pow(psi_degree)
 
 
 def alpha_class(q_class: BrauerClassQ, m: int, alpha_disc: Rational,

@@ -12,7 +12,9 @@ rational quadratic form preserves that class as the Clifford invariant.
 A HermitianGram keeps H as integer matrices, scaled here from QuadElem
 entries or from the fact-file loader's checked cells alike, and runs one
 fraction-free congruence elimination when it is built; det(H) is the
-diagonal's product, and form_invariants takes it once. The transfer is
+diagonal's product, and form_invariants takes it once: it is the one
+computation of delta, disc and the transfer's invariants, and delta(h)
+and disc(h) read their parts of it. The transfer is
 <1, delta0> (x) <a_1, ..., a_n>, so its Hasse symbol at v is
 (det, -delta0)_v (delta0, -1)_v^(n(n-1)/2).
 Only det(H) and delta0 are factored; ``symbols.hasse_symbol`` reads each
@@ -180,13 +182,14 @@ def signed_det(h: HermitianGram) -> Fraction:
 
 
 def delta(h: HermitianGram) -> BrauerClassQ:
-    """Discriminant algebra class (field_disc, signed det)_Q."""
-    return from_pair(h.field.field_disc, signed_det(h))
+    """Discriminant algebra class (field_disc, signed det)_Q, as
+    form_invariants computes it."""
+    return form_invariants(h).delta
 
 
 def disc(h: HermitianGram) -> int:
     """Canonical representative of the signed determinant modulo norms."""
-    return l_disc(delta(h), h.field)
+    return form_invariants(h).disc
 
 
 def is_positive_definite(h: HermitianGram) -> bool:

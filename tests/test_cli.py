@@ -932,19 +932,26 @@ class TestCorpusCommand:
         assert out.splitlines()[0].split(None, 2) == [
             "FAIL", "bare", "error: character: missing (this file has no fact sheet)"]
 
-    @pytest.mark.parametrize("source,expected,detail", [
+    @pytest.mark.parametrize("source,expected,detail,mod_facts", [
         ("q10_i2", {"kind": "unique", "disc": 2, "ram": [2, 5]},
-         "expected kind 'unique' does not fit a gram row"),
+         "expected kind 'unique' does not fit a gram row", []),
         ("o10p2_chi33", {"kind": "hform", "disc": -1, "ram": ["inf", 3]},
-         "expected kind 'hform' does not fit a character row"),
+         "expected kind 'hform' does not fit a character row", []),
         ("o10p2_chi33", {"kind": "candidates", "discs": [-1, -3]},
-         "expected candidates, got unique"),
+         "expected candidates, got unique", []),
         ("on3_chi57_partial", {"kind": "unique", "disc": -5, "ram": ["inf", 5]},
-         "expected unique, got candidates"),
+         "expected unique, got candidates", []),
+        # the kind is checked before the sheet, which contradicts itself at 3
+        ("on3_chi57", {"kind": "hform", "disc": -10, "ram": ["inf", 2, 3, 5]},
+         "expected kind 'hform' does not fit a character row",
+         [{"p": 3, "status": "OrthSquare"}]),
     ])
-    def test_expected_kind_mismatch_fails(self, capsys, tmp_path, source, expected, detail):
+    def test_expected_kind_mismatch_fails(self, capsys, tmp_path, source, expected, detail,
+                                          mod_facts):
         payload = json.load(open(corpus_path(source)))
         payload["expected"] = expected
+        if mod_facts:
+            payload["character"]["mod_facts"] += mod_facts
         write_json(tmp_path, source + ".json", payload)
         rc, out, _ = run(capsys, "corpus", str(tmp_path))
         assert rc == 3

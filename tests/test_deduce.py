@@ -29,9 +29,7 @@ from udisc.deduce import (
     alpha_class,
     apply_local_rules,
     candidate_places,
-    combine_induction,
     combine_restriction,
-    combine_tensor,
     q8_class,
     resolve,
 )
@@ -971,11 +969,13 @@ class TestCombineRestriction:
 
 
 class TestCombineInduction:
+    """The induction row raises psi's class to the subgroup index."""
+
     def test_even_index_gives_trivial_class(self):
-        assert combine_induction(cls(INF, 3), 4) == cls()
+        assert cls(INF, 3).pow(4) == cls()
 
     def test_odd_index_keeps_class(self):
-        assert combine_induction(cls(INF, 3), 3) == cls(INF, 3)
+        assert cls(INF, 3).pow(3) == cls(INF, 3)
 
     def test_even_relative_field_degree_decides_nothing(self):
         # over an odd relative degree the relation settles the candidates
@@ -994,11 +994,13 @@ class TestCombineInduction:
 
 
 class TestCombineTensor:
+    """The tensor row raises chi's class to the partner's degree."""
+
     def test_even_partner_degree(self):
-        assert combine_tensor(cls(INF, 3), 2) == cls()
+        assert cls(INF, 3).pow(2) == cls()
 
     def test_odd_partner_degree(self):
-        assert combine_tensor(cls(INF, 3), 495) == cls(INF, 3)
+        assert cls(INF, 3).pow(495) == cls(INF, 3)
 
     @given(
         st.sets(st.sampled_from([INF, 2, 3, 5, 7]), min_size=0, max_size=4),
@@ -1009,7 +1011,7 @@ class TestCombineTensor:
         if len(places) % 2 == 1:
             places = set(places) ^ {11}
         c = cls(*places)
-        assert combine_tensor(c, k1 * k2) == combine_tensor(combine_tensor(c, k1), k2)
+        assert c.pow(k1 * k2) == c.pow(k1).pow(k2)
 
 
 class TestAlphaCombine:

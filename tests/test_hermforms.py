@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from udisc.brauer import from_pair
+from udisc.brauer import from_pair, l_disc
 from udisc.hermforms import (
     HermitianGram,
     SquareTest,
@@ -515,7 +515,9 @@ class TestQuadInvariants:
 class TestTransferPlaces:
     """form_invariants reads the transfer at inf, 2, the primes of delta0 and
     the primes inert in L where det has odd valuation; the Hasse symbol is
-    (det, -delta0)_v (delta0, -1)_v^(n(n-1)/2) at every place."""
+    (det, -delta0)_v (delta0, -1)_v^(n(n-1)/2) at every place. delta and
+    disc, which read form_invariants, are checked against the class
+    (field_disc, signed det)_Q taken at every prime of det."""
 
     @pytest.mark.parametrize("d0", [1, 2, 3, 5, 7, 10, 15])
     def test_against_the_full_place_set(self, d0):
@@ -533,6 +535,9 @@ class TestTransferPlaces:
             for v, s in got.hasse.items():
                 assert s == hilbert(det, -d0, v) * hilbert(d0, -1, v) ** k
             assert got._replace(hasse=None) == full._replace(hasse=None)
+            whole = from_pair(field.field_disc, (-1) ** k * det)
+            assert delta(h) == whole
+            assert disc(h) == l_disc(whole, field)
 
 
 class TestCliffordInvariant:

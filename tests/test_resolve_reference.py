@@ -64,9 +64,7 @@ from udisc.deduce import (
     alpha_class,
     apply_local_rules,
     candidate_places,
-    combine_induction,
     combine_restriction,
-    combine_tensor,
     q8_class,
     resolve,
 )
@@ -95,9 +93,9 @@ def fixed_classes(sheet):
         elif isinstance(rel, InductionRelation):
             # an even relative field degree gives only local information
             if rel.field_degree_odd:
-                fixed.append(combine_induction(rel.psi_delta, rel.index))
+                fixed.append(rel.psi_delta.pow(rel.index))
         else:
-            fixed.append(combine_tensor(rel.delta_chi, rel.psi_degree))
+            fixed.append(rel.delta_chi.pow(rel.psi_degree))
     a = sheet.alpha_facts
     if a is not None:
         fixed.append(alpha_class(a.q_class, a.m, a.alpha_disc, a.indicator_ext, L))

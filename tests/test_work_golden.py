@@ -16,7 +16,14 @@ nothing for them:
 - `l_disc`: every l_disc call;
 - `representatives`: builds of `brauer._representatives`' per-field table;
 - `factor`: `arith._factor_abs` cache misses;
-- `rho`, `ecm`: calls of the two splitting methods.
+- `rho`, `ecm`: calls of the two splitting methods;
+- `factor_prime`, `factor_trial`, `factor_rho`, `factor_ecm`: the same
+  misses by the last path each took: answered at once by the cached
+  primality test, by trial division alone, with rho, or with ECM;
+- `is_prime_big`: `arith.is_prime` cache misses above 10^6.
+
+Trial division is seen as a loop over `arith._SMALL_PRIMES` outside
+`is_prime`, which loops over the same list.
 
 A cached function keeps its cache, and only its misses are counted; one
 that loses its cache counts every call. A change of any count rewrites
@@ -48,11 +55,12 @@ COUNTED = (
     ("l_disc", deduce, "l_disc"),
     ("l_disc", hermforms, "l_disc"),
     ("representatives", brauer, "_representatives"),
-    ("factor", arith, "_factor_abs"),
     ("rho", arith, "_rho"),
     ("ecm", arith, "_ecm"),
 )
-KEYS = tuple(dict.fromkeys(key for key, _, _ in COUNTED))
+KEYS = ("hasse_symbol", "pair_hilbert", "l_disc", "representatives", "factor", "rho", "ecm",
+        "factor_prime", "factor_trial", "factor_rho", "factor_ecm", "is_prime_big")
+BIG = 10 ** 6
 
 
 def _count(monkeypatch, counts):
@@ -67,6 +75,46 @@ def _count(monkeypatch, counts):
         if body is not fn:  # an lru_cache: a new one, so only misses count
             counted = lru_cache(**fn.cache_parameters())(counted)
         monkeypatch.setattr(module, name, counted)
+    _count_factoring(monkeypatch, counts)
+
+
+class _SmallPrimes(list):
+    """arith._SMALL_PRIMES, counting the loops over it outside is_prime."""
+
+    in_is_prime = False
+    trial_loops = 0
+
+    def __iter__(self):
+        self.trial_loops += not self.in_is_prime
+        return super().__iter__()
+
+
+def _count_factoring(monkeypatch, counts):
+    small = _SmallPrimes(arith._SMALL_PRIMES)
+    prime_body, factor_body = arith.is_prime.__wrapped__, arith._factor_abs.__wrapped__
+
+    @lru_cache(**arith.is_prime.cache_parameters())
+    def is_prime(n):
+        counts["is_prime_big"] += n > BIG
+        small.in_is_prime = True
+        try:
+            return prime_body(n)
+        finally:
+            small.in_is_prime = False
+
+    @lru_cache(**arith._factor_abs.cache_parameters())
+    def factor_abs(n):
+        counts["factor"] += 1
+        ecm, rho, loops = counts["ecm"], counts["rho"], small.trial_loops
+        out = factor_body(n)
+        counts["factor_ecm" if counts["ecm"] > ecm else "factor_rho" if counts["rho"] > rho
+               else "factor_trial" if small.trial_loops > loops else "factor_prime"] += 1
+        return out
+
+    monkeypatch.setattr(arith, "_SMALL_PRIMES", small)
+    monkeypatch.setattr(arith, "_factor_abs", factor_abs)
+    for module in (arith, cli, deduce, quadfield, symbols):
+        monkeypatch.setattr(module, "is_prime", is_prime)
 
 
 def _clear_caches():
